@@ -28,6 +28,11 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INFEASIBLE = 3
 
+
+class UsageError(Exception):
+    """Bad input or option value; main reports it in one line and exits 1."""
+
+
 SCAN_FAMILIES = ("pencil", "st-grid", "random-tangency", "circle-sampled", "anchored-planted")
 
 DEFAULTS = {
@@ -169,7 +174,10 @@ def _genspec(cfg: dict) -> GenSpec:
 def _load_instance(cfg: dict) -> Tuple[Instance, int]:
     if cfg["input"]:
         with open(cfg["input"]) as fh:
-            inst = Instance.from_json(json.load(fh))
+            try:
+                inst = Instance.from_json(json.load(fh))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"invalid input {cfg['input']}: {type(exc).__name__}: {exc}") from None
         return inst, len(inst.planted_pairs)
     return gen(_genspec(cfg))
 
@@ -205,6 +213,8 @@ def cmd_count(cfg, stdout, stderr) -> int:
 
 
 def cmd_rich(cfg, stdout, stderr) -> int:
+    if cfg["t"] < 1:
+        raise UsageError("--t must be at least 1")
     inst, _ = _load_instance(cfg)
     rich = t_rich_points(inst.points, inst.curves, cfg["t"],
                          mode=cfg["mode"], threads=cfg["threads"])
@@ -222,7 +232,7 @@ def cmd_partition(cfg, stdout, stderr) -> int:
     points = _points_for_partition(inst)
     try:
         pp = build_partition(points, cfg["levels"], cfg["epsilon"], seed=cfg["seed"])
-    except PartitionError as exc:
+    except (PartitionError, ValueError) as exc:  # ValueError: levels, epsilon or m
         print(f"partition failed: {exc}", file=stderr)
         return EXIT_INFEASIBLE
     assignment = classify(points, pp)
@@ -321,8 +331,14 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
     cfg = _merge_config(args, stderr)
     if cfg is None:
         return EXIT_USAGE
+    if cfg["threads"] < 1:
+        print("--threads must be at least 1", file=stderr)
+        return EXIT_USAGE
     try:
         return COMMANDS[args.command](cfg, stdout, stderr)
+    except UsageError as exc:
+        print(exc, file=stderr)
+        return EXIT_USAGE
     except InfeasibleSpecError as exc:
         print(f"infeasible spec: {exc}", file=stderr)
         return EXIT_INFEASIBLE

@@ -176,8 +176,6 @@ def line_in_plane(dp: DirectedPoint, pp: PowerPlane) -> bool:
     return const_ok and slope_ok
 
 
-VerticalPlane = Line2  # vertical plane over its xi-eta trace
-
 PlaneKey = Union[PowerPlane, Line2]
 
 

@@ -3,10 +3,20 @@
 Exact mode clears denominators once per object and evaluates integer
 residuals over all m*n pairs.  Prefilter mode screens pairs with float
 residuals in cache-friendly tiles (numpy) and confirms every survivor with
-the same integer predicate; the screen tolerance is a certified forward
-error bound on the float evaluation, so the prefilter may only add
-candidates, never drop a true incidence.  Totals are identical in both
-modes and independent of the thread count (tiles merge by index).
+the same integer predicate; the screen may only add candidates, never drop
+a true incidence.  Totals are identical in both modes and independent of
+the thread count (tiles merge by index).
+
+Each instance kind is one ``Kind`` record in the ``KINDS`` table.  Float
+rows divide out the integer-cleared tuples (int / int rounds correctly, so
+each entry is within eps relative error).  Every residual takes fewer than
+16 flops on them, so its forward error is below the record's tolerance:
+64*eps times a degree-2 polynomial in M, the largest row magnitude (at
+least 1); the generous constant keeps the bound sound without tracking each
+rounding.  No intermediate value of a residual exceeds 16*M^2, so for
+M <= SCREEN_MAX residuals and tau are finite; otherwise, or when a row
+overflows the float range, prefilter mode confirms every pair exactly and
+reports tau = None.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +35,7 @@ from .exact import Vec3
 from .tangency import Circle2, DirectedPoint
 
 FLOAT_EPS = float(np.finfo(np.float64).eps)
+SCREEN_MAX = 2.0 ** 500
 
 
 @dataclass
@@ -60,34 +71,21 @@ class IncidenceReport:
 CSV_HEADER = "m,n,total,mode,seconds"
 
 
-def _detect_kind(points: Sequence, curves: Sequence) -> str:
-    if not points or not curves:
-        return "empty"
-    pt, cv = points[0], curves[0]
-    if isinstance(pt, DirectedPoint) and isinstance(cv, Circle2):
-        kind = "tangency"
-    elif isinstance(pt, (Vec3, DualPoint3)) and isinstance(cv, AnchoredCircle):
-        kind = "anchored"
-    elif isinstance(pt, (Vec3, DualPoint3)) and isinstance(cv, (Line3, DualLine3)):
-        kind = "lines3"
-    else:
-        raise ValueError("mixed instance kinds")
-    pt_type = type(points[0])
-    cv_type = type(curves[0])
-    if any(type(p) is not pt_type for p in points) or any(type(c) is not cv_type for c in curves):
-        raise ValueError("mixed instance kinds")
-    return kind
+@dataclass(frozen=True)
+class Kind:
+    """One instance kind; the first point and curve types serialize."""
 
-
-def _as_vec3(p) -> Vec3:
-    return p.as_vec3() if isinstance(p, DualPoint3) else p
-
-
-def _as_line3(c) -> Line3:
-    return c.as_line3() if isinstance(c, DualLine3) else c
-
-
-# --- integer-cleared forms ------------------------------------------------
+    name: str
+    point_types: Tuple[type, ...]
+    curve_types: Tuple[type, ...]
+    int_point: Callable[[Any], tuple]  # object -> integer-cleared tuple
+    int_curve: Callable[[Any], tuple]
+    pair: Callable[[tuple, tuple], bool]  # exact predicate on cleared tuples
+    float_point: Callable[[tuple], tuple]  # cleared tuple -> float row
+    float_curve: Callable[[tuple], tuple]  # center or point, then normal or direction
+    # tile of point rows x tile of curve rows -> arrays that vanish on incidences
+    residuals: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]
+    tolerance: Callable[[float], Tuple[float, ...]]  # M -> tau per residual
 
 
 def _int_dp(dp: DirectedPoint) -> Tuple[int, int, int, int]:
@@ -100,9 +98,21 @@ def _int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
     return (int(c.center.x * e), int(c.center.y * e), e, c.r2.numerator, c.r2.denominator)
 
 
-def _int_vec3(v: Vec3) -> Tuple[int, int, int, int]:
+def _int_point3(v) -> Tuple[int, int, int, int]:
+    if isinstance(v, DualPoint3):
+        v = v.as_vec3()
     d = math.lcm(v.x.denominator, v.y.denominator, v.z.denominator)
     return (int(v.x * d), int(v.y * d), int(v.z * d), d)
+
+
+def _int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:
+    return (int(g.n.x), int(g.n.y), int(g.n.z)) + _int_point3(g.c)
+
+
+def _int_line3(raw) -> Tuple[int, ...]:
+    line = raw.as_line3() if isinstance(raw, DualLine3) else raw
+    v = line.direction
+    return _int_point3(line.point) + (int(v.x), int(v.y), int(v.z))
 
 
 def _pair_tangency(P, C) -> bool:
@@ -141,111 +151,78 @@ def _pair_lines3(P, C) -> bool:
     )
 
 
-def _prepare(kind: str, points, curves):
-    if kind == "tangency":
-        return [_int_dp(p) for p in points], [_int_circle(c) for c in curves], _pair_tangency
-    if kind == "anchored":
-        pts = [_int_vec3(_as_vec3(p)) for p in points]
-        cvs = []
-        for g in curves:
-            cx = _int_vec3(g.c)
-            cvs.append((int(g.n.x), int(g.n.y), int(g.n.z), cx[0], cx[1], cx[2], cx[3]))
-        return pts, cvs, _pair_anchored
-    if kind == "lines3":
-        pts = [_int_vec3(_as_vec3(p)) for p in points]
-        cvs = []
-        for raw in curves:
-            line = _as_line3(raw)
-            q = _int_vec3(line.point)
-            cvs.append((q[0], q[1], q[2], q[3], int(line.direction.x), int(line.direction.y), int(line.direction.z)))
-        return pts, cvs, _pair_lines3
-    raise ValueError(f"unknown kind {kind}")
+def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d)
+    return (t[0] / t[3], t[1] / t[3], t[2] / t[3])
 
 
-# --- float prefilter ------------------------------------------------------
+def _res_tangency(p: np.ndarray, c: np.ndarray) -> tuple:
+    dx, dy = p[:, 0:1] - c[:, 0], p[:, 1:2] - c[:, 1]
+    return dx * dx + dy * dy - c[:, 2], p[:, 2:3] * dy + dx
 
 
-def _float_arrays(kind: str, points, curves):
-    if kind == "tangency":
-        P = np.array([[float(p.p.x), float(p.p.y), float(p.u)] for p in points])
-        C = np.array([[float(c.center.x), float(c.center.y), float(c.r2)] for c in curves])
-        return P, C
-    if kind == "anchored":
-        P = np.array([[float(v.x), float(v.y), float(v.z)] for v in map(_as_vec3, points)])
-        C = np.array(
-            [
-                [float(g.c.x), float(g.c.y), float(g.c.z), float(g.n.x), float(g.n.y), float(g.n.z)]
-                for g in curves
-            ]
-        )
-        return P, C
-    P = np.array([[float(v.x), float(v.y), float(v.z)] for v in map(_as_vec3, points)])
-    C = np.array(
-        [
-            [
-                float(l.point.x), float(l.point.y), float(l.point.z),
-                float(l.direction.x), float(l.direction.y), float(l.direction.z),
-            ]
-            for l in map(_as_line3, curves)
-        ]
-    )
-    return P, C
+def _res_anchored(p: np.ndarray, c: np.ndarray) -> tuple:
+    wx, wy, wz = (p[:, k:k + 1] - c[:, k] for k in range(3))
+    dot = p[:, 0:1] * c[:, 3] + p[:, 1:2] * c[:, 4] + p[:, 2:3] * c[:, 5]
+    return wx * wx + wy * wy + wz * wz - 1.0, dot
 
 
-def _tolerances(kind: str, P: np.ndarray, C: np.ndarray) -> Tuple[float, ...]:
-    """Certified screen tolerances from the input magnitude range.
-
-    The float residuals below use fewer than 16 flops on inputs converted
-    from exact rationals (each within eps relative error), so the forward
-    error of every residual is below 64*eps*(1 + M)^k for the product
-    magnitude M of the factors involved; the generous constant keeps the
-    bound sound without tracking each rounding.
-    """
-    m = max(1.0, float(np.max(np.abs(P))) if P.size else 1.0,
-            float(np.max(np.abs(C))) if C.size else 1.0)
-    if kind == "tangency":
-        tau1 = 64 * FLOAT_EPS * (m * m + m + 1)
-        tau2 = 64 * FLOAT_EPS * (m * m + m + 1)
-        return (tau1, tau2)
-    if kind == "anchored":
-        return (64 * FLOAT_EPS * (m * m + 1), 64 * FLOAT_EPS * (m * m + 1))
-    return (64 * FLOAT_EPS * (m * m + 1),) * 3
+def _res_lines3(p: np.ndarray, c: np.ndarray) -> tuple:
+    wx, wy, wz = (p[:, k:k + 1] - c[:, k] for k in range(3))
+    vx, vy, vz = c[:, 3], c[:, 4], c[:, 5]
+    return wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx
 
 
-def _tile_candidates(kind: str, P: np.ndarray, C: np.ndarray, i0: int, i1: int,
-                     j0: int, j1: int, tau: Tuple[float, ...]) -> np.ndarray:
-    p = P[i0:i1]
-    c = C[j0:j1]
-    if kind == "tangency":
-        dx = p[:, 0:1] - c[None, :, 0].reshape(1, -1)
-        dy = p[:, 1:2] - c[None, :, 1].reshape(1, -1)
-        r1 = dx * dx + dy * dy - c[None, :, 2].reshape(1, -1)
-        r2 = p[:, 2:3] * dy + dx
-        mask = (np.abs(r1) <= tau[0]) & (np.abs(r2) <= tau[1])
-    elif kind == "anchored":
-        wx = p[:, 0:1] - c[None, :, 0].reshape(1, -1)
-        wy = p[:, 1:2] - c[None, :, 1].reshape(1, -1)
-        wz = p[:, 2:3] - c[None, :, 2].reshape(1, -1)
-        r1 = wx * wx + wy * wy + wz * wz - 1.0
-        r2 = (
-            p[:, 0:1] * c[None, :, 3].reshape(1, -1)
-            + p[:, 1:2] * c[None, :, 4].reshape(1, -1)
-            + p[:, 2:3] * c[None, :, 5].reshape(1, -1)
-        )
-        mask = (np.abs(r1) <= tau[0]) & (np.abs(r2) <= tau[1])
-    else:
-        wx = p[:, 0:1] - c[None, :, 0].reshape(1, -1)
-        wy = p[:, 1:2] - c[None, :, 1].reshape(1, -1)
-        wz = p[:, 2:3] - c[None, :, 2].reshape(1, -1)
-        vx = c[None, :, 3].reshape(1, -1)
-        vy = c[None, :, 4].reshape(1, -1)
-        vz = c[None, :, 5].reshape(1, -1)
-        r1 = wy * vz - wz * vy
-        r2 = wz * vx - wx * vz
-        r3 = wx * vy - wy * vx
-        mask = (np.abs(r1) <= tau[0]) & (np.abs(r2) <= tau[1]) & (np.abs(r3) <= tau[2])
-    ii, jj = np.nonzero(mask)
-    return np.stack([ii + i0, jj + j0], axis=1) if ii.size else np.empty((0, 2), dtype=int)
+KINDS: Tuple[Kind, ...] = (
+    Kind("tangency", (DirectedPoint,), (Circle2,), _int_dp, _int_circle, _pair_tangency,
+         _float3, lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _res_tangency,
+         lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2),
+    Kind("anchored", (Vec3, DualPoint3), (AnchoredCircle,), _int_point3, _int_anchored,
+         _pair_anchored, _float3, lambda C: _float3(C[3:]) + tuple(map(float, C[:3])),
+         _res_anchored, lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
+    Kind("lines3", (Vec3, DualPoint3), (Line3, DualLine3), _int_point3, _int_line3,
+         _pair_lines3, _float3, lambda C: _float3(C[:4]) + tuple(map(float, C[4:])),
+         _res_lines3, lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3),
+)
+
+
+def _kind_of(points: Sequence, curves: Sequence) -> Kind:
+    pt_type, cv_type = type(points[0]), type(curves[0])
+    same = all(type(p) is pt_type for p in points) and all(type(c) is cv_type for c in curves)
+    for kind in KINDS:
+        if same and issubclass(pt_type, kind.point_types) and issubclass(cv_type, kind.curve_types):
+            return kind
+    raise ValueError("mixed instance kinds")
+
+
+def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
+    """Candidate (i, j) index arrays per tile, in tile order, and tau; None
+    when the float rows cannot certify a screen (see the module notes)."""
+    try:
+        P = np.array([kind.float_point(p) for p in ipts])
+        C = np.array([kind.float_curve(c) for c in icvs])
+    except OverflowError:
+        return None
+    mag = max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(C))))
+    if mag > SCREEN_MAX:
+        return None
+    tau = kind.tolerance(mag)
+
+    def work(span):
+        i0, i1, j0, j1 = span
+        res = kind.residuals(P[i0:i1], C[j0:j1])
+        mask = np.abs(res[0]) <= tau[0]
+        for r, t in zip(res[1:], tau[1:]):
+            mask &= np.abs(r) <= t
+        ii, jj = np.nonzero(mask)
+        return ii + i0, jj + j0
+
+    m, n = len(ipts), len(icvs)
+    tiles = [(i0, min(i0 + tile, m), j0, min(j0 + tile, n))
+             for i0 in range(0, m, tile) for j0 in range(0, n, tile)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, tiles)), tau
+    return [work(span) for span in tiles], tau
 
 
 def count(points: Sequence, curves: Sequence, mode: str = "exact",
@@ -258,18 +235,19 @@ def count(points: Sequence, curves: Sequence, mode: str = "exact",
     if mode not in ("exact", "prefilter"):
         raise ValueError(f"unknown mode {mode}")
     start = time.perf_counter()
-    kind = _detect_kind(points, curves)
     m, n = len(points), len(curves)
-    per_point = [0] * m
-    per_curve = [0] * n
-    if kind == "empty":
-        return IncidenceReport(m, n, 0, per_point, per_curve, mode, kind, time.perf_counter() - start)
+    per_point, per_curve = [0] * m, [0] * n
+    if not points or not curves:
+        return IncidenceReport(m, n, 0, per_point, per_curve, mode, "empty", time.perf_counter() - start)
 
-    ipts, icvs, pair = _prepare(kind, points, curves)
-    total = 0
+    kind = _kind_of(points, curves)
+    pair = kind.pair
+    ipts = [kind.int_point(p) for p in points]
+    icvs = [kind.int_curve(c) for c in curves]
+    screened = _screen(kind, ipts, icvs, threads, tile) if mode == "prefilter" else None
     tau: Optional[Tuple[float, ...]] = None
 
-    if mode == "exact":
+    if screened is None:
         for i, pf in enumerate(ipts):
             row = 0
             for j, cf in enumerate(icvs):
@@ -277,35 +255,16 @@ def count(points: Sequence, curves: Sequence, mode: str = "exact",
                     row += 1
                     per_curve[j] += 1
             per_point[i] = row
-            total += row
     else:
-        P, C = _float_arrays(kind, points, curves)
-        tau = _tolerances(kind, P, C)
-        tiles = []
-        for i0 in range(0, m, tile):
-            for j0 in range(0, n, tile):
-                tiles.append((i0, min(i0 + tile, m), j0, min(j0 + tile, n)))
-
-        def work(span):
-            i0, i1, j0, j1 = span
-            return _tile_candidates(kind, P, C, i0, i1, j0, j1, tau)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(work, tiles))
-        else:
-            chunks = [work(span) for span in tiles]
-        for cand in chunks:  # tile order is deterministic
-            for i, j in cand:
+        chunks, tau = screened
+        for ii, jj in chunks:  # tile order is deterministic
+            for i, j in zip(ii.tolist(), jj.tolist()):
                 if pair(ipts[i], icvs[j]):
-                    total += 1
                     per_point[i] += 1
                     per_curve[j] += 1
 
-    return IncidenceReport(
-        m, n, total, per_point, per_curve, mode, kind,
-        time.perf_counter() - start, tau,
-    )
+    return IncidenceReport(m, n, sum(per_point), per_point, per_curve, mode, kind.name,
+                           time.perf_counter() - start, tau)
 
 
 def t_rich_points(points: Sequence, curves: Sequence, t: int,

@@ -23,6 +23,7 @@ from .anchored import (
     tangent_basis,
 )
 from .dual3 import Line3
+from .engine import KINDS as ENGINE_KINDS
 from .exact import Vec2, Vec3
 from .polynomials import MPoly, resultant
 from .tangency import Circle2, DirectedPoint, is_tangent, tangent_point_sample
@@ -84,51 +85,35 @@ class Instance:
     planted_pairs: List[Tuple[int, int]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        if self.kind == "tangency":
-            pts = [p.to_json() for p in self.points]
-            cvs = [c.to_json() for c in self.curves]
-        elif self.kind == "anchored":
-            pts = [p.to_json() for p in self.points]
-            cvs = [c.to_json() for c in self.curves]
-        else:
-            pts = [p.to_json() for p in self.points]
-            cvs = [c.to_json() for c in self.curves]
         return {
             "kind": self.kind,
-            "points": pts,
-            "curves": cvs,
+            "points": [p.to_json() for p in self.points],
+            "curves": [c.to_json() for c in self.curves],
             "planted": len(self.planted_pairs),
             "planted_pairs": [list(t) for t in self.planted_pairs],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
-        kind = obj["kind"]
-        if kind == "tangency":
-            pts = [DirectedPoint.from_json(o) for o in obj["points"]]
-            cvs = [Circle2.from_json(o) for o in obj["curves"]]
-        elif kind == "anchored":
-            pts = [Vec3.from_json(o) for o in obj["points"]]
-            cvs = [AnchoredCircle.from_json(o) for o in obj["curves"]]
-        elif kind == "lines3":
-            pts = [Vec3.from_json(o) for o in obj["points"]]
-            cvs = [Line3.from_json(o) for o in obj["curves"]]
-        else:
-            raise ValueError(f"unknown instance kind {kind}")
+        kind = next((k for k in ENGINE_KINDS if k.name == obj["kind"]), None)
+        if kind is None:
+            raise ValueError(f"unknown instance kind {obj['kind']}")
+        pts = [kind.point_types[0].from_json(o) for o in obj["points"]]
+        cvs = [kind.curve_types[0].from_json(o) for o in obj["curves"]]
         pairs = [tuple(t) for t in obj.get("planted_pairs", [])]
-        return Instance(kind, pts, cvs, pairs)
+        return Instance(kind.name, pts, cvs, pairs)
 
 
-def rand_rat(rng: random.Random, mag: int, den_bound: int) -> Fraction:
-    d = rng.randint(1, den_bound)
+def rand_rat(rng: random.Random, mag: int = 100, den: int = 100) -> Fraction:
+    d = rng.randint(1, den)
     return Fraction(rng.randint(-mag * d, mag * d), d)
 
 
-def _rand_dp(rng, mag, den) -> DirectedPoint:
+def _rand_dp(rng, mag=100, den=100) -> DirectedPoint:
     return DirectedPoint(Vec2(rand_rat(rng, mag, den), rand_rat(rng, mag, den)), rand_rat(rng, mag, den))
 
 
-def _rand_circle(rng, mag, den) -> Tuple[Circle2, Vec2]:
+def _rand_circle(rng, mag=100, den=100) -> Tuple[Circle2, Vec2]:
     """Random circle as r2 = |p - w|^2 from a rational point, plus the point."""
     while True:
         w = Vec2(rand_rat(rng, mag, den), rand_rat(rng, mag, den))

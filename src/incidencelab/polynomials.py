@@ -249,10 +249,6 @@ def sturm_count(p: UniPoly, a: Optional[Coef] = None, b: Optional[Coef] = None) 
     return count
 
 
-def real_root_count(p: UniPoly) -> int:
-    return sturm_count(p, None, None)
-
-
 def cauchy_root_bound(p: UniPoly) -> Fraction:
     """All real roots of p lie strictly inside (-B, B)."""
     if p.is_zero() or p.degree() == 0:
@@ -374,17 +370,6 @@ class MPoly:
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
-
-    def eval_float(self, values: Dict[str, float]) -> float:
-        vals = [float(values[v]) for v in self.vars]
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
             for v, k in zip(vals, e):
                 if k:
                     term *= v ** k

@@ -21,6 +21,7 @@ from . import engine as eng
 from . import generators as gens
 from . import partition as part
 from .exact import Vec2, Vec3, det3
+from .generators import _rand_circle, _rand_dp, rand_rat
 from .polynomials import UniPoly, poly_gcd, sturm_count
 from .tangency import (
     Circle2,
@@ -51,30 +52,13 @@ def _trials(base: int, scale: float, floor: int = 20) -> int:
     return max(floor, int(base * scale))
 
 
-def _rr(rng, mag=100, den=100) -> Fraction:
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
-
-
-def _rand_dp(rng, mag=100, den=100) -> DirectedPoint:
-    return DirectedPoint(Vec2(_rr(rng, mag, den), _rr(rng, mag, den)), _rr(rng, mag, den))
-
-
-def _rand_circle(rng, mag=100, den=100):
-    while True:
-        w = Vec2(_rr(rng, mag, den), _rr(rng, mag, den))
-        p = Vec2(_rr(rng, mag, den), _rr(rng, mag, den))
-        if p != w:
-            return Circle2(w, (p - w).norm2()), p
-
-
 # --- exact-kernel -----------------------------------------------------------
 
 
 @check("rational-exactness")
 def _rational_exactness(rng, scale) -> CheckResult:
     for _ in range(_trials(10000, scale)):
-        a, b = _rr(rng), _rr(rng)
+        a, b = rand_rat(rng), rand_rat(rng)
         if (a + b) - b != a:
             return False, f"(a+b)-b != a for {a}, {b}"
         c = Fraction(a.numerator * 7, a.denominator * 7) if a != 0 else a
@@ -273,8 +257,8 @@ def _orthogonal_power(rng, scale) -> CheckResult:
     produced = 0
     for _ in range(_trials(5000, scale)):
         a = _rand_dp(rng)
-        w = Vec2(_rr(rng), _rr(rng))
-        rho = _rr(rng)
+        w = Vec2(rand_rat(rng), rand_rat(rng))
+        rho = rand_rat(rng)
         if w == a.p and rho <= 0:
             continue
         c = orthogonal_tangent_circle(a, w, rho)
@@ -311,8 +295,8 @@ def _anchored_dual_uniqueness(rng, scale) -> CheckResult:
     returned = 0
     for i in range(trials):
         if i % 2 == 0:
-            p = Vec3(_rr(rng, 2, 10), _rr(rng, 2, 10), _rr(rng, 2, 10))
-            q = Vec3(_rr(rng, 2, 10), _rr(rng, 2, 10), _rr(rng, 2, 10))
+            p = Vec3(rand_rat(rng, 2, 10), rand_rat(rng, 2, 10), rand_rat(rng, 2, 10))
+            q = Vec3(rand_rat(rng, 2, 10), rand_rat(rng, 2, 10), rand_rat(rng, 2, 10))
         else:
             g = gens.rand_anchored_circle(rng)
             p = anc.anchored_point_sample(g, rng)
@@ -346,7 +330,7 @@ def _cubic_vanishing(rng, scale) -> CheckResult:
     normal = Vec2(-dp0.u, 1)
     circles = _trials(1000, scale, floor=10)
     for _ in range(circles):
-        s = _rr(rng)
+        s = rand_rat(rng)
         if s == 0:
             continue
         c = Circle2(dp0.p + normal.scale(s), s * s * normal.norm2())
@@ -394,7 +378,7 @@ def _lifted_pair_bound(rng, scale) -> CheckResult:
     for _ in range(_trials(3000, scale)):
         a = _rand_dp(rng, 20, 20)
         normal = Vec2(-a.u, 1)
-        s1, s2 = _rr(rng, 10, 10), _rr(rng, 10, 10)
+        s1, s2 = rand_rat(rng, 10, 10), rand_rat(rng, 10, 10)
         if s1 == 0 or s2 == 0 or s1 == s2:
             continue
         c1 = Circle2(a.p + normal.scale(s1), s1 * s1 * normal.norm2())
@@ -445,7 +429,7 @@ def _master_duality(rng, scale) -> CheckResult:
 def _power_decoding(rng, scale) -> CheckResult:
     for _ in range(_trials(10000, scale)):
         c, _ = _rand_circle(rng)
-        a, b, d = _rr(rng), _rr(rng), _rr(rng)
+        a, b, d = rand_rat(rng), rand_rat(rng), rand_rat(rng)
         pp = dual3.plane_to_power(a, b, d)
         if dual3.dual_on_plane(c, pp) != (power(pp.w, c) == pp.rho):
             return False, f"power decode mismatch for plane ({a},{b},{d})"
@@ -458,7 +442,7 @@ def _power_decoding(rng, scale) -> CheckResult:
 def _line_in_plane_char(rng, scale) -> CheckResult:
     for _ in range(_trials(10000, scale)):
         a = _rand_dp(rng)
-        pp = dual3.plane_to_power(_rr(rng), _rr(rng), _rr(rng))
+        pp = dual3.plane_to_power(rand_rat(rng), rand_rat(rng), rand_rat(rng))
         direct = dual3.line_in_plane(a, pp)
         if pp.rho > 0:
             w = pp.w
@@ -482,9 +466,9 @@ def _rich_planes_completeness(rng, scale) -> CheckResult:
     for _ in range(_trials(40, scale, floor=5)):
         # plant a rich plane: k directed points on a power circle around w,
         # each directed at w (radial), so their dual lines share the plane
-        w = Vec2(_rr(rng, 5, 5), _rr(rng, 5, 5))
+        w = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
         k = rng.randint(3, 6)
-        p0 = Vec2(_rr(rng, 5, 5), _rr(rng, 5, 5))
+        p0 = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
         if p0 == w:
             continue
         circle = Circle2(w, (p0 - w).norm2())
@@ -576,7 +560,7 @@ def _engine_throughput(rng, scale) -> CheckResult:
 def _partition_fixture(rng, scale):
     m = max(64, int(1024 * scale))
     levels = 3 if m >= 64 else 2
-    pts = [Vec3(_rr(rng, 50, 20), _rr(rng, 50, 20), _rr(rng, 50, 20)) for _ in range(m)]
+    pts = [Vec3(rand_rat(rng, 50, 20), rand_rat(rng, 50, 20), rand_rat(rng, 50, 20)) for _ in range(m)]
     pp = part.build_partition(pts, levels, 0.15, seed=rng.randrange(1 << 30))
     return pts, pp, levels
 

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from incidencelab import cli
 
 
@@ -27,6 +29,43 @@ class TestExitCodes:
     def test_ok(self):
         code, _, _ = run(["count", "--kind", "pencil", "--m", "1", "--n", "5"])
         assert code == cli.EXIT_OK
+
+
+def assert_one_line_exit(argv, code_wanted):
+    code, _, err = run(argv)
+    assert code == code_wanted
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestBadInput:
+    def test_malformed_input_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "tangency",\n  broken')
+        assert_one_line_exit(["count", "--input", str(path)], cli.EXIT_USAGE)
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "tangency", "points": [], "curves": [{"c": ["0", "0"], "r2": "-1"}]},
+        {"kind": "tangency", "points": [], "curves": [{"r2": "1"}]},
+        {"kind": "nope", "points": [], "curves": []},
+    ], ids=["negative-r2", "missing-key", "unknown-kind"])
+    def test_invalid_instance_objects(self, tmp_path, obj):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        assert_one_line_exit(["count", "--input", str(path)], cli.EXIT_USAGE)
+
+    def test_rich_threshold_zero(self):
+        assert_one_line_exit(["rich", "--kind", "pencil", "--m", "1", "--n", "3", "--t", "0"],
+                             cli.EXIT_USAGE)
+
+    def test_partition_too_few_points(self):
+        assert_one_line_exit(["partition", "--kind", "random-tangency", "--m", "3", "--n", "0",
+                              "--levels", "2"], cli.EXIT_INFEASIBLE)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads(self, threads):
+        assert_one_line_exit(["count", "--kind", "pencil", "--m", "1", "--n", "3",
+                              "--threads", threads], cli.EXIT_USAGE)
 
 
 class TestGenerateAndCount:

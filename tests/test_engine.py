@@ -1,8 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from incidencelab.anchored import AnchoredCircle
+from incidencelab.dual3 import DualLine3, DualPoint3, Line3, circle_dual, dp_dual_line
 from incidencelab.engine import (
     CSV_HEADER,
     IncidenceReport,
@@ -11,13 +12,9 @@ from incidencelab.engine import (
     exponent_fit,
     t_rich_points,
 )
+from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import GenSpec, gen
-from incidencelab.tangency import is_tangent
-
-
-def rand_rat(rng, mag=100, den=100):
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
+from incidencelab.tangency import Circle2, DirectedPoint, is_tangent
 
 
 def random_tangency_instance(rng, m, n):
@@ -170,3 +167,80 @@ def test_report_csv_shape():
     assert CSV_HEADER.split(",") == ["m", "n", "total", "mode", "seconds"]
     row = rep.csv_row().split(",")
     assert row[:4] == ["2", "3", "4", "exact"]
+
+
+def _point_as(point_type, v):
+    v = v.as_vec3() if isinstance(v, DualPoint3) else v
+    return v if point_type is Vec3 else DualPoint3(v.x, v.y, v.z)
+
+
+def _typed_instance(point_type, curve_type):
+    """A small instance with incidences whose objects have exactly these types."""
+    if curve_type is Circle2:
+        inst, _ = gen(GenSpec("circle-sampled", 30, 10, seed=13))
+        return inst.points, inst.curves
+    if curve_type is AnchoredCircle:
+        inst, _ = gen(GenSpec("anchored-planted", 30, 10, seed=6))
+        return [_point_as(point_type, p) for p in inst.points], inst.curves
+    inst, _ = gen(GenSpec("circle-sampled", 30, 10, seed=13))
+    lines = [dp_dual_line(p) for p in inst.points]
+    if curve_type is Line3:
+        lines = [line.as_line3() for line in lines]
+    return [_point_as(point_type, circle_dual(c)) for c in inst.curves], lines
+
+
+@pytest.mark.parametrize("point_type, curve_type, kind", [
+    (DirectedPoint, Circle2, "tangency"),
+    (Vec3, AnchoredCircle, "anchored"),
+    (DualPoint3, AnchoredCircle, "anchored"),
+    (Vec3, Line3, "lines3"),
+    (Vec3, DualLine3, "lines3"),
+    (DualPoint3, Line3, "lines3"),
+    (DualPoint3, DualLine3, "lines3"),
+])
+def test_every_accepted_type_pair(point_type, curve_type, kind):
+    points, curves = _typed_instance(point_type, curve_type)
+    assert {type(p) for p in points} == {point_type}
+    assert {type(c) for c in curves} == {curve_type}
+    exact = count(points, curves, mode="exact")
+    pre = count(points, curves, mode="prefilter", tile=7)
+    assert exact.kind == pre.kind == kind
+    assert exact.total > 0
+    assert (pre.total, pre.per_point, pre.per_curve) == (exact.total, exact.per_point, exact.per_curve)
+
+
+@pytest.mark.parametrize("spec, kind, total, tau", [
+    (GenSpec("circle-sampled", 40, 10, seed=3), "tangency", 40,
+     (1.8263280376370447e-05,) * 2),
+    (GenSpec("anchored-planted", 30, 10, seed=3), "anchored", 39,
+     (1.5645640161091477e+36,) * 2),
+    (GenSpec("st-grid-horizontal-lines", 100, 100, seed=0), "lines3", 457,
+     (1.4566126083082054e-11,) * 3),
+])
+def test_golden_tau(spec, kind, total, tau):
+    # Any change to the float rows, the magnitude bound or the tolerance
+    # polynomial moves these bit-exact values.
+    inst, _ = gen(spec)
+    rep = count(inst.points, inst.curves, mode="prefilter")
+    assert (rep.kind, rep.total, rep.tau) == (kind, total, tau)
+
+
+@pytest.mark.parametrize("exponent", [200, 400])
+@pytest.mark.parametrize("kind", ["tangency", "lines3"])
+def test_prefilter_matches_exact_at_huge_magnitude(kind, exponent):
+    # 10^200 squares past the float range and 10^400 does not convert at
+    # all; the prefilter must confirm exactly instead of failing or
+    # screening with an infinite tolerance.
+    big = 10 ** exponent
+    if kind == "tangency":
+        points = [DirectedPoint(Vec2(big, 0), 0), DirectedPoint(Vec2(big, 0), 1)]
+        curves = [Circle2(Vec2(big, 1), 1), Circle2(Vec2(0, 0), 1)]
+    else:
+        points = [Vec3(big + 5, 5, 0), Vec3(big, 1, 0)]
+        curves = [Line3(Vec3(big, 0, 0), Vec3(1, 1, 0)), Line3(Vec3(0, 0, 0), Vec3(0, 0, 1))]
+    exact = count(points, curves, mode="exact")
+    pre = count(points, curves, mode="prefilter")
+    assert exact.total == 1
+    assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
+        (exact.kind, exact.total, exact.per_point, exact.per_curve)
+    assert pre.tau is None
