@@ -34,6 +34,7 @@ class UsageError(Exception):
 
 
 SCAN_FAMILIES = ("pencil", "st-grid", "random-tangency", "circle-sampled", "anchored-planted")
+CHOICES = {"mode": ("exact", "prefilter"), "format": ("json", "csv"), "family": SCAN_FAMILIES}
 
 DEFAULTS = {
     "kind": "random-tangency",
@@ -106,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=CHOICES["format"], default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--mode", choices=("exact", "prefilter"), default=None)
+        p.add_argument("--mode", choices=CHOICES["mode"], default=None)
         p.add_argument("--kind", type=str, default=None)
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
@@ -130,12 +131,27 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--levels", type=int, default=None)
             p.add_argument("--epsilon", type=float, default=None)
         if name == "scan":
-            p.add_argument("--family", choices=SCAN_FAMILIES, default=None)
+            p.add_argument("--family", choices=CHOICES["family"], default=None)
             p.add_argument("--base", type=int, default=None)
             p.add_argument("--steps", type=int, default=None)
         if name == "verify":
             p.add_argument("--quick", action="store_true", default=None)
     return parser
+
+
+def _config_error(key: str, val) -> Optional[str]:
+    """Why a config value does not fit its field (the type of its default,
+    a float field also taking an int; the flag's choices), or None."""
+    default = DEFAULTS[key]
+    if default is None:  # out, input: a path or null
+        ok, want = val is None or isinstance(val, str), "a string or null"
+    elif isinstance(default, float):
+        ok, want = isinstance(val, (int, float)) and not isinstance(val, bool), "a number"
+    else:
+        ok, want = type(val) is type(default), type(default).__name__
+    if ok and key in CHOICES and val not in CHOICES[key]:
+        ok, want = False, f"one of {', '.join(CHOICES[key])}"
+    return None if ok else f"expected {want}, got {json.dumps(val)}"
 
 
 def _merge_config(args: argparse.Namespace, stderr) -> Optional[dict]:
@@ -151,10 +167,18 @@ def _merge_config(args: argparse.Namespace, stderr) -> Optional[dict]:
         except OSError as exc:
             print(f"cannot read config: {exc}", file=stderr)
             return None
+        if not isinstance(loaded, dict):
+            print("config must be a JSON object", file=stderr)
+            return None
         unknown = set(loaded) - set(cfg)
         if unknown:
             print(f"unknown config fields: {sorted(unknown)}", file=stderr)
             return None
+        for key, val in loaded.items():
+            problem = _config_error(key, val)
+            if problem:
+                print(f"invalid config field {key}: {problem}", file=stderr)
+                return None
         cfg.update(loaded)
     for key in cfg:
         val = getattr(args, key, None)

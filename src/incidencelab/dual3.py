@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .exact import RatLike, Vec2, Vec3, det3, primitive_int_vec3, rat, rat_from_str, rat_to_str
+from .exact import RatLike, Vec2, Vec3, primitive_int_vec3, rat, rat_from_str, rat_to_str
 from .tangency import Circle2, DirectedPoint, Line2
 
 
@@ -101,10 +101,6 @@ class PowerPlane:
         return PowerPlane(rat_from_str(obj["a"]), rat_from_str(obj["b"]), rat_from_str(obj["d"]))
 
 
-def plane_to_power(a: RatLike, b: RatLike, d: RatLike) -> PowerPlane:
-    return PowerPlane(a, b, d)
-
-
 def encode_power(w: Vec2, rho: RatLike) -> PowerPlane:
     """Plane whose dual points are the circles with power rho at w."""
     rho = rat(rho)
@@ -179,71 +175,55 @@ def line_in_plane(dp: DirectedPoint, pp: PowerPlane) -> bool:
 PlaneKey = Union[PowerPlane, Line2]
 
 
-def _plane_through_pair(l1: DualLine3, l2: DualLine3) -> Optional[PowerPlane]:
-    """The non-vertical plane containing both dual lines, if one exists.
+def _plane_through_pair(dp1: DirectedPoint, dp2: DirectedPoint) -> Optional[PowerPlane]:
+    """The non-vertical plane containing both dual lines, if exactly one does.
 
-    Each line imposes two linear conditions on (a, b, d); solve three of the
-    four and verify the fourth exactly.
+    Write the pair as (p, u) and (q, v).  By line_in_plane, the dual line of
+    (p, u) lies in (a, b, d) exactly when b = u*a - c with c = 2(u*p.x - p.y),
+    and a*p.x + b*p.y + d = |p|^2.  Different slopes fix a from the two b
+    conditions.  Equal slopes need equal c (otherwise the lines are skew or
+    share only a vertical plane), which makes them parallel, and
+    k = (p.x - q.x) + u(p.y - q.y), nonzero unless the points are equal; the
+    two constant conditions then fix a.  d follows from the first point and
+    the second is re-checked exactly.
     """
-    rows = []
-    for line in (l1, l2):
-        p, u = line.p, line.u
-        rows.append(((p.x, p.y, Fraction(1)), p.norm2()))
-        rows.append(((u, Fraction(-1), Fraction(0)), 2 * p.x * u - 2 * p.y))
-    for drop in range(4):
-        sys_rows = [rows[i] for i in range(4) if i != drop]
-        m = [r[0] for r in sys_rows]
-        rhs = [r[1] for r in sys_rows]
-        det = det3(Vec3(*m[0]), Vec3(*m[1]), Vec3(*m[2]))
-        if det == 0:
-            continue
-        sol = []
-        for col in range(3):
-            cols = [list(row) for row in m]
-            for i in range(3):
-                cols[i][col] = rhs[i]
-            sol.append(det3(Vec3(*cols[0]), Vec3(*cols[1]), Vec3(*cols[2])) / det)
-        pp = PowerPlane(sol[0], sol[1], sol[2])
-        if line_in_plane(DirectedPoint(l1.p, l1.u), pp) and line_in_plane(DirectedPoint(l2.p, l2.u), pp):
-            return pp
-        return None
-    return None
+    p, u, q, v = dp1.p, dp1.u, dp2.p, dp2.u
+    c1, c2 = 2 * (u * p.x - p.y), 2 * (v * q.x - q.y)
+    if u != v:
+        a = (c1 - c2) / (u - v)
+    else:
+        k = (p.x - q.x) + u * (p.y - q.y)
+        if c1 != c2 or k == 0:
+            return None
+        a = (p.norm2() - q.norm2() + c1 * (p.y - q.y)) / k
+    b = u * a - c1
+    pp = PowerPlane(a, b, p.norm2() - a * p.x - b * p.y)
+    return pp if line_in_plane(dp2, pp) else None
 
 
 def rich_planes(dps: List[DirectedPoint], q: int) -> List[Tuple[PlaneKey, List[int]]]:
     """All planes containing at least q of the dual lines of the input.
 
-    Candidate non-vertical planes come from coplanar line pairs (any plane
-    holding two or more lines is spanned by two of them); each dual line lies
-    in exactly one vertical plane, so vertical candidates are the groups of
-    lines sharing a xi-eta trace.  Output is sorted by member count
-    descending, ties broken by the canonical plane key.
+    Each dual line lies in exactly one vertical plane, keyed by its xi-eta
+    trace.  Non-vertical planes are collected from spanning pairs alone: two
+    distinct lines lie in at most one plane, so if lines i and j span P, any
+    other line k in P differs from i or from j, and that pair spans P too and
+    adds k.  Equal directed points have equal dual lines and are not paired.
+    Output is sorted by member count descending, ties broken by the
+    canonical plane key.
     """
     if q < 2:
         raise ValueError("richness threshold must be at least 2")
-    lines = [dp_dual_line(dp) for dp in dps]
-    results: List[Tuple[PlaneKey, List[int]]] = []
-
-    by_trace: Dict[Line2, List[int]] = {}
-    for i, line in enumerate(lines):
-        by_trace.setdefault(line.vertical_trace(), []).append(i)
-    for trace, members in by_trace.items():
-        if len(members) >= q:
-            results.append((trace, sorted(members)))
-
-    seen: Dict[PowerPlane, bool] = {}
-    n = len(lines)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if lines[i] == lines[j]:
+    planes: Dict[PlaneKey, Set[int]] = {}
+    for i, dp in enumerate(dps):
+        planes.setdefault(dp_dual_line(dp).vertical_trace(), set()).add(i)
+    for i, dp in enumerate(dps):
+        for j in range(i + 1, len(dps)):
+            if dp == dps[j]:
                 continue
-            pp = _plane_through_pair(lines[i], lines[j])
-            if pp is None or pp in seen:
-                continue
-            seen[pp] = True
-            members = [k for k, dp in enumerate(dps) if line_in_plane(dp, pp)]
-            if len(members) >= q:
-                results.append((pp, sorted(members)))
+            pp = _plane_through_pair(dp, dps[j])
+            if pp is not None:
+                planes.setdefault(pp, set()).update((i, j))
 
     def sort_key(entry):
         plane, members = entry
@@ -253,8 +233,8 @@ def rich_planes(dps: List[DirectedPoint], q: int) -> List[Tuple[PlaneKey, List[i
             tag = (1, Fraction(plane.a), Fraction(plane.b), Fraction(plane.c))
         return (-len(members), tag)
 
-    results.sort(key=sort_key)
-    return results
+    return sorted(((plane, sorted(members)) for plane, members in planes.items() if len(members) >= q),
+                  key=sort_key)
 
 
 def rich_planes_to_json(report: List[Tuple[PlaneKey, List[int]]]) -> list:

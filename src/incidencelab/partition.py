@@ -117,18 +117,6 @@ def _poly_from_coeffs(monos, coeffs) -> MPoly:
     return MPoly(XYZ, {mono: c for mono, c in zip(monos, coeffs) if c != 0})
 
 
-def _objective(vals: np.ndarray, classes: List[np.ndarray], target: float) -> Tuple[float, float]:
-    worst = 0
-    imbalance = 0.0
-    for idx in classes:
-        v = vals[idx]
-        pos = int(np.count_nonzero(v > 0))
-        neg = int(np.count_nonzero(v < 0))
-        worst = max(worst, pos, neg)
-        imbalance += float(pos - neg) ** 2
-    return (max(0.0, worst - target), imbalance)
-
-
 def _best_constant(vals: np.ndarray, classes: List[np.ndarray], target: float) -> Tuple[float, Tuple[float, float]]:
     """Scan constant offsets: thresholds between consecutive pooled values."""
     pooled = np.unique(vals)

@@ -430,7 +430,7 @@ def _power_decoding(rng, scale) -> CheckResult:
     for _ in range(_trials(10000, scale)):
         c, _ = _rand_circle(rng)
         a, b, d = rand_rat(rng), rand_rat(rng), rand_rat(rng)
-        pp = dual3.plane_to_power(a, b, d)
+        pp = dual3.PowerPlane(a, b, d)
         if dual3.dual_on_plane(c, pp) != (power(pp.w, c) == pp.rho):
             return False, f"power decode mismatch for plane ({a},{b},{d})"
         if dual3.encode_power(pp.w, pp.rho) != pp:
@@ -442,7 +442,7 @@ def _power_decoding(rng, scale) -> CheckResult:
 def _line_in_plane_char(rng, scale) -> CheckResult:
     for _ in range(_trials(10000, scale)):
         a = _rand_dp(rng)
-        pp = dual3.plane_to_power(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+        pp = dual3.PowerPlane(rand_rat(rng), rand_rat(rng), rand_rat(rng))
         direct = dual3.line_in_plane(a, pp)
         if pp.rho > 0:
             w = pp.w

@@ -14,11 +14,13 @@ from incidencelab import dual3
 from incidencelab.engine import bound_ratio, count, exponent_fit
 from incidencelab.exact import Vec2, Vec3, det3
 from incidencelab.generators import GenSpec, eval_Fstar, gen, horizontal_line_Fstar
+from incidencelab.generators import _rand_circle as rand_circle
+from incidencelab.generators import _rand_dp as rand_dp
+from incidencelab.generators import rand_rat as rr
 from incidencelab.partition import build_partition, classify, curve_crossings
 from incidencelab.polynomials import restrict_to_curve
 from incidencelab.tangency import (
     Circle2,
-    DirectedPoint,
     FStatus,
     common_circle,
     eval_F,
@@ -41,23 +43,6 @@ def report(num, desc):
         run.__name__ = fn.__name__
         return run
     return wrap
-
-
-def rr(rng, mag=100, den=100):
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
-
-
-def rand_dp(rng):
-    return DirectedPoint(Vec2(rr(rng), rr(rng)), rr(rng))
-
-
-def rand_circle(rng, mag=100, den=100):
-    while True:
-        w = Vec2(rr(rng, mag, den), rr(rng, mag, den))
-        p = Vec2(rr(rng, mag, den), rr(rng, mag, den))
-        if p != w:
-            return Circle2(w, (p - w).norm2()), p
 
 
 @report(1, "master duality: is_tangent == dual_incidence == lifted_contains on 1e5 pairs")
@@ -88,7 +73,7 @@ def test_power_plane_correspondence():
     for _ in range(10_000):
         c, _ = rand_circle(rng)
         a, b, d = rr(rng), rr(rng), rr(rng)
-        pp = dual3.plane_to_power(a, b, d)
+        pp = dual3.PowerPlane(a, b, d)
         assert dual3.dual_on_plane(c, pp) == (power(pp.w, c) == pp.rho)
         assert dual3.encode_power(pp.w, pp.rho) == pp
     return "dual-on-plane iff power equality, encode/decode identity"

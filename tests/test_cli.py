@@ -62,6 +62,28 @@ class TestBadInput:
         assert_one_line_exit(["partition", "--kind", "random-tangency", "--m", "3", "--n", "0",
                               "--levels", "2"], cli.EXIT_INFEASIBLE)
 
+    @pytest.mark.parametrize("command, fields", [
+        ("count", {"threads": "2"}),
+        ("count", {"m": "5"}),
+        ("partition", {"levels": "2"}),
+        ("count", {"mode": "fast"}),
+        ("count", {"format": "xml"}),
+        ("count", {"m": True}),
+        ("count", {"out": 3}),
+    ], ids=["threads-str", "m-str", "levels-str", "mode-choice", "format-choice", "m-bool", "out-int"])
+    def test_config_value_of_wrong_type(self, tmp_path, command, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 3, **fields}))
+        assert_one_line_exit([command, "--config", str(cfg)], cli.EXIT_USAGE)
+        _, _, err = run([command, "--config", str(cfg)])
+        assert err.startswith(f"invalid config field {next(iter(fields))}: ")
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]"])
+    def test_config_not_an_object(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert_one_line_exit(["count", "--config", str(cfg)], cli.EXIT_USAGE)
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads(self, threads):
         assert_one_line_exit(["count", "--kind", "pencil", "--m", "1", "--n", "3",
@@ -113,6 +135,15 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 6, "seed": 1}))
         code, out, _ = run(["count", "--config", str(cfg)])
         assert json.loads(out)["total"] == 6
+
+    def test_config_types_accepted(self, tmp_path):
+        # an int in a float field, null in a path field, a flag's own choice
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 5, "density": 1, "out": None,
+                                   "mode": "prefilter", "format": "json", "histograms": True}))
+        code, out, _ = run(["count", "--config", str(cfg)])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["total"] == 5
 
     def test_config_parse_error_reports_position(self, tmp_path):
         cfg = tmp_path / "bad.json"
