@@ -8,6 +8,7 @@ then canonicalized, which keeps bit growth under control downstream.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +60,8 @@ class GenSpec:
             raise InfeasibleSpecError(f"unknown generator kind {self.kind!r}")
         if self.m < 0 or self.n < 0:
             raise InfeasibleSpecError("m and n must be nonnegative")
+        if self.coord_range < 1 or self.den_bound < 1:
+            raise InfeasibleSpecError("coord_range and den_bound must be at least 1")
 
     def to_json(self) -> dict:
         return {
@@ -174,6 +177,9 @@ def _gen_pencil(spec: GenSpec, rng) -> Instance:
     if spec.m != 1:
         raise InfeasibleSpecError("pencil supports exactly one directed point")
     mag, den = spec.coord_range, spec.den_bound
+    if _offset_count(mag, den, spec.n) < spec.n:
+        raise InfeasibleSpecError(
+            f"pencil needs {spec.n} distinct offsets; coord_range {mag} and den_bound {den} allow fewer")
     dp = _rand_dp(rng, mag, den)
     normal = Vec2(-dp.u, 1)
     seen = set()
@@ -186,6 +192,18 @@ def _gen_pencil(spec: GenSpec, rng) -> Instance:
         curves.append(Circle2(dp.p + normal.scale(s), s * s * normal.norm2()))
     pairs = [(0, j) for j in range(spec.n)]
     return Instance("tangency", [dp], curves, pairs)
+
+
+def _offset_count(mag: int, den: int, cap: int) -> int:
+    """Distinct nonzero rationals s with |s| <= mag and denominator <= den,
+    counted until the count reaches cap: in lowest terms p/q there are
+    2 * mag * phi(q) of them for each q."""
+    total = 0
+    for q in range(1, den + 1):
+        total += 2 * mag * sum(1 for p in range(1, q + 1) if math.gcd(p, q) == 1)
+        if total >= cap:
+            break
+    return total
 
 
 def _gen_circle_sampled(spec: GenSpec, rng) -> Instance:

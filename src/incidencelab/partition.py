@@ -6,9 +6,14 @@ simultaneously.  Factors are found by randomized hyperplane search in the
 Veronese lift of the least degree whose monomial count exceeds the class
 count, refined by local coefficient improvement; the float search only
 guides the hunt, every accepted factor is re-verified with exact sign
-evaluation.  Cells are sign-vector classes: a computable coarsening of the
-connected components (each true component lies inside one sign class), and
-every report says so via the cell model tag.
+evaluation.  Both work on integers: each point is written as (X, Y, Z) / D
+over one common denominator, so a degree-d monomial row entry is the
+integer X^i Y^j Z^k D^(d-i-j-k) over D^d, which the float search divides
+once, and an exact sign (the balance check, classify) is the sign of an
+integer sum with the factor cleared of its denominators.  Cells are
+sign-vector classes: a computable coarsening of the connected components
+(each true component lies inside one sign class), and every report says so
+via the cell model tag.
 """
 
 from __future__ import annotations
@@ -22,7 +27,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exact import Vec3
-from .polynomials import MPoly, RationalCurve, UniPoly, XYZ, restrict_to_curve, sturm_count
+from .polynomials import (
+    MPoly,
+    RationalCurve,
+    UniPoly,
+    XYZ,
+    poly_gcd,
+    restrict_to_curve,
+    square_free_part,
+    sturm_count,
+)
 
 CELL_MODEL = "sign-vector classes (coarsening of connected components)"
 
@@ -102,36 +116,122 @@ def least_lift_degree(class_count: int) -> int:
     return d
 
 
-def _monomial_matrix_exact(points: Sequence[Vec3], monos) -> List[List[Fraction]]:
+def _clear(p: Vec3) -> Tuple[int, int, int, int]:
+    """(X, Y, Z, D) with (x, y, z) = (X, Y, Z) / D and D the lcm of the denominators."""
+    d = math.lcm(p.x.denominator, p.y.denominator, p.z.denominator)
+    return (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator),
+            p.z.numerator * (d // p.z.denominator), d)
+
+
+def _powers(v: int, n: int) -> List[int]:
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * v)
+    return out
+
+
+def _lift(cleared: Sequence[Tuple[int, int, int, int]], monos, d: int) -> np.ndarray:
+    """Float monomial rows from the integers X^i Y^j Z^k D^(d-i-j-k).
+
+    Such an integer over D^d is the exact monomial value, and int / int
+    rounds correctly, so each float equals float() of the monomial's Fraction.
+    """
     rows = []
-    for p in points:
-        px, py, pz = p.x, p.y, p.z
-        row = []
-        for (i, j, k) in monos:
-            row.append((px ** i) * (py ** j) * (pz ** k))
-        rows.append(row)
-    return rows
+    for X, Y, Z, D in cleared:
+        xs, ys, zs, ds = _powers(X, d), _powers(Y, d), _powers(Z, d), _powers(D, d)
+        rows.append([xs[i] * ys[j] * zs[k] * ds[d - i - j - k] / ds[d] for (i, j, k) in monos])
+    return np.array(rows)
+
+
+def _signs(cleared: Sequence[Tuple[int, int, int, int]], f: MPoly) -> List[int]:
+    """Exact sign of f at every point cleared to (X, Y, Z, D).
+
+    With f scaled to integer coefficients C, f(p) has the sign of
+    sum C X^i Y^j Z^k D^(deg - i - j - k).
+    """
+    lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+    axes = [XYZ.index(v) for v in f.vars]
+    terms = []
+    for e, c in f.terms.items():
+        ex = [0, 0, 0]
+        for axis, k in zip(axes, e):
+            ex[axis] = k
+        terms.append((*ex, c.numerator * (lcm // c.denominator)))
+    deg = f.total_degree()
+    out = []
+    for X, Y, Z, D in cleared:
+        xs, ys, zs, ds = _powers(X, deg), _powers(Y, deg), _powers(Z, deg), _powers(D, deg)
+        v = sum(c * xs[i] * ys[j] * zs[k] * ds[deg - i - j - k] for i, j, k, c in terms)
+        out.append((v > 0) - (v < 0))
+    return out
 
 
 def _poly_from_coeffs(monos, coeffs) -> MPoly:
     return MPoly(XYZ, {mono: c for mono, c in zip(monos, coeffs) if c != 0})
 
 
-def _best_constant(vals: np.ndarray, classes: List[np.ndarray], target: float) -> Tuple[float, Tuple[float, float]]:
-    """Scan constant offsets: thresholds between consecutive pooled values."""
-    pooled = np.unique(vals)
-    if pooled.size == 0:
+def _class_labels(classes: List[np.ndarray], m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Class of every point, len(classes) for a point in none, and the class
+    sizes, with size 0 for that spare label."""
+    n_classes = len(classes)
+    labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
+    for c, idx in enumerate(classes):
+        labels[idx] = c
+    sizes = np.bincount(labels, minlength=n_classes + 1)
+    sizes[n_classes] = 0
+    return labels, sizes
+
+
+def _best_constant(
+    vals: np.ndarray, labels: np.ndarray, sizes: np.ndarray, target: float
+) -> Tuple[float, Tuple[float, float]]:
+    """Scan constant offsets: thresholds between consecutive pooled values.
+
+    A threshold scores the largest side of any class, then the sum over
+    classes of (above - below)^2.  One sort of all values scores every
+    threshold: passing the point that is the w-th of its class (size n) in
+    sorted order leaves w + 1 of that class below and n - w at or above, and
+    adds 4 + 8w - 4n to the sum of squares, so prefix maxima and prefix sums
+    give both scores.  A threshold equal to a pooled value leaves that
+    value's points on neither side; such thresholds are counted directly.
+    """
+    m = vals.size
+    if m == 0:
         return 0.0, (float("inf"), float("inf"))
-    mids = (pooled[:-1] + pooled[1:]) / 2 if pooled.size > 1 else np.array([])
+    order = np.argsort(vals)
+    ordered = vals[order]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.append(np.flatnonzero(first), m)
+    pooled = ordered[starts[:-1]]
+    mids = (pooled[:-1] + pooled[1:]) / 2
     thetas = np.concatenate(([pooled[0] - 1.0], mids, [pooled[-1] + 1.0]))
-    worst = np.zeros(thetas.size)
-    imbalance = np.zeros(thetas.size)
-    for idx in classes:
-        v = np.sort(vals[idx])
-        below = np.searchsorted(v, thetas, side="left")
-        above = v.size - np.searchsorted(v, thetas, side="right")
-        worst = np.maximum(worst, np.maximum(below, above))
-        imbalance += (above - below).astype(float) ** 2
+    if (thetas[1:] >= pooled).all() and (thetas[:-1] <= pooled).all():
+        # threshold t lies between pooled values t-1 and t, maybe rounded onto
+        # one; these comparisons cost a seventh of two searchsorted calls
+        ranks = np.arange(thetas.size)
+        lo_rank = ranks - np.append(False, thetas[1:] == pooled)
+        hi_rank = ranks + np.append(thetas[:-1] == pooled, False)
+    else:  # a sum overflowed, or NaN
+        lo_rank = np.searchsorted(pooled, thetas, side="left")
+        hi_rank = np.searchsorted(pooled, thetas, side="right")
+    lo, hi = starts[lo_rank], starts[hi_rank]  # sorted positions below lo are below, from hi on above
+    lab = labels[order]
+    # w: the number of points of the same class earlier in sorted order
+    by_class = np.argsort(lab, kind="stable")
+    w = np.empty(m, dtype=np.int64)
+    w[by_class] = np.arange(m) - (np.cumsum(sizes) - sizes)[lab[by_class]]
+    n = sizes[lab]
+    inside = n > 0
+    below_max = np.concatenate(([0], np.maximum.accumulate(np.where(inside, w + 1, 0))))
+    above_max = np.concatenate((np.maximum.accumulate((n - w)[::-1])[::-1], [0]))
+    squares = np.concatenate(([0], np.cumsum(np.where(inside, 4 + 8 * w - 4 * n, 0)))) + sizes @ sizes
+    worst = np.maximum(below_max[lo], above_max[hi]).astype(float)
+    imbalance = squares[lo].astype(float)
+    for t in np.flatnonzero(lo != hi):
+        inner = np.bincount(lab[:lo[t]], minlength=sizes.size) + np.bincount(lab[:hi[t]], minlength=sizes.size)
+        imbalance[t] = float(((sizes - inner)[:-1] ** 2).sum())
     excess = np.maximum(0.0, worst - target)
     best = int(np.lexsort((imbalance, excess))[0])
     return float(thetas[best]), (float(excess[best]), float(imbalance[best]))
@@ -151,6 +251,7 @@ def _search_level(
     constant (the caller snaps it to a bounded-denominator rational).
     """
     n_mono = vals_matrix.shape[1]
+    labels, sizes = _class_labels(classes, vals_matrix.shape[0])
     best_c: Optional[np.ndarray] = None
     best_theta = 0.0
     best_score = (float("inf"), float("inf"))
@@ -159,7 +260,7 @@ def _search_level(
         if not c.any():
             c[rng.randrange(n_mono - 1)] = 1.0
         vals = vals_matrix[:, 1:] @ c
-        theta, score = _best_constant(vals, classes, target)
+        theta, score = _best_constant(vals, labels, sizes, target)
         for _ in range(sweeps):
             improved = False
             order = list(range(n_mono - 1))
@@ -167,7 +268,7 @@ def _search_level(
             for coord in order:
                 for delta in (1.0, -1.0, 4.0, -4.0, 16.0, -16.0):
                     trial = vals + delta * vals_matrix[:, 1 + coord]
-                    t_theta, t_score = _best_constant(trial, classes, target)
+                    t_theta, t_score = _best_constant(trial, labels, sizes, target)
                     if t_score < score:
                         c[coord] += delta
                         vals = trial
@@ -221,11 +322,14 @@ def build_partition(
     signs_so_far: List[List[int]] = [[] for _ in range(m)]
     best_eps_seen = float("inf")
 
+    cleared = [_clear(p) for p in points]
+    lift_degree = None
     for level in range(1, levels + 1):
         d = least_lift_degree(len(class_map))
         monos = veronese_monomials(d)
-        exact_rows = _monomial_matrix_exact(points, monos)
-        vals_matrix = np.array([[float(v) for v in row] for row in exact_rows])
+        if d != lift_degree:
+            vals_matrix = _lift(cleared, monos, d)
+            lift_degree = d
         target = (1 + epsilon) * m / (2 ** level)
         accepted = None
         for attempt in range(retries):
@@ -237,30 +341,27 @@ def build_partition(
             g = _poly_from_coeffs(monos, coeffs)
             if g.is_zero():
                 continue
-            exact_vals = [
-                sum(c * row[t] for t, c in enumerate(coeffs) if c != 0)
-                for row in exact_rows
-            ]
+            signs = _signs(cleared, g)
             worst = 0
             for idx in class_map:
-                pos = sum(1 for i in idx if exact_vals[i] > 0)
-                neg = sum(1 for i in idx if exact_vals[i] < 0)
+                pos = sum(1 for i in idx if signs[i] > 0)
+                neg = sum(1 for i in idx if signs[i] < 0)
                 worst = max(worst, pos, neg)
             achieved = worst * (2 ** level) / m - 1
             best_eps_seen = min(best_eps_seen, achieved)
             if worst <= target:
-                accepted = (g, exact_vals, achieved)
+                accepted = (g, signs, achieved)
                 break
         if accepted is None:
             raise PartitionError(f"level {level} failed balance target", best_eps_seen)
-        g, exact_vals, achieved = accepted
+        g, signs, achieved = accepted
         factors.append(g)
         degrees.append(g.total_degree())
         balances.append(achieved)
         new_classes: Dict[Tuple[int, ...], List[int]] = {}
         for idx_arr in class_map:
             for i in idx_arr:
-                s = (exact_vals[i] > 0) - (exact_vals[i] < 0)
+                s = signs[i]
                 signs_so_far[i].append(s)
                 if s == 0:
                     continue
@@ -273,15 +374,12 @@ def build_partition(
 
 def classify(points: Sequence[Vec3], pp: PartitionPoly) -> CellAssignment:
     """Exact sign evaluation of every factor at every point."""
-    sign_vectors: List[Tuple[int, ...]] = []
-    on_zero: List[bool] = []
+    cleared = [_clear(p) for p in points]
+    columns = [_signs(cleared, f) for f in pp.factors]
+    sign_vectors = [tuple(col[i] for col in columns) for i in range(len(points))]
+    on_zero = [0 in sv for sv in sign_vectors]
     populations: Dict[Tuple[int, ...], int] = {}
-    for p in points:
-        vals = [f.eval({"x": p.x, "y": p.y, "z": p.z}) for f in pp.factors]
-        sv = tuple((v > 0) - (v < 0) for v in vals)
-        zero = any(s == 0 for s in sv)
-        sign_vectors.append(sv)
-        on_zero.append(zero)
+    for sv, zero in zip(sign_vectors, on_zero):
         if not zero:
             populations[sv] = populations.get(sv, 0) + 1
     return CellAssignment(sign_vectors, on_zero, populations)
@@ -299,22 +397,31 @@ class CrossingReport:
 def curve_crossings(curve: RationalCurve, pp: PartitionPoly) -> CrossingReport:
     """Exact crossing count of the curve with the partition zero set.
 
-    Per factor: restrict to the curve and Sturm-count distinct real roots.
-    The total counts parameter values where some non-containing factor
-    vanishes (shared roots counted once via the product polynomial);
-    factors vanishing identically on the curve are flagged contained and
-    excluded from the sum.
+    Per factor: restrict to the curve and Sturm-count the distinct real
+    roots of its square-free part.  Factors vanishing identically on the
+    curve are flagged contained and left out of the total.  The total counts
+    parameter values where some other factor vanishes, each once: factor i
+    adds the roots left after dividing its square-free part by its gcd with
+    each earlier factor's square-free part, which are exactly its roots that
+    no earlier factor has.  So the total is the number of distinct real
+    roots of the product of the restrictions, without forming the product.
     """
     per_factor: List[Union[int, str]] = []
-    product = UniPoly.const(1)
-    any_active = False
+    earlier: List[UniPoly] = []
+    total = 0
     for f in pp.factors:
         restricted = restrict_to_curve(f, curve)
         if restricted.is_zero():
             per_factor.append("contained")
             continue
-        per_factor.append(sturm_count(restricted, None, None))
-        product = product * restricted
-        any_active = True
-    total = sturm_count(product, None, None) if any_active else 0
+        sf = square_free_part(restricted)
+        count = sturm_count(sf, None, None)
+        per_factor.append(count)
+        fresh = sf
+        for prev in earlier:
+            g = poly_gcd(fresh, prev)
+            if g.degree() > 0:
+                fresh = fresh.divmod(g)[0]
+        total += count if fresh is sf else sturm_count(fresh, None, None)
+        earlier.append(sf)
     return CrossingReport(total, per_factor)

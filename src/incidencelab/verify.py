@@ -637,13 +637,22 @@ def _partition_crossings(rng, scale) -> CheckResult:
         c, base = _rand_circle(rng, 10, 10)
         curve = anc.lifted_param(anc.LiftedCircle(c), base)
         rep = part.curve_crossings(curve, pp)
+        restrictions = []
         for fi, f in enumerate(pp.factors):
             restricted = restrict_to_curve(f, curve)
             if restricted.is_zero():
                 continue
+            restrictions.append(restricted)
             changes = numeric_crossing_count(restricted)
             if rep.per_factor[fi] != changes:
                 return False, f"sturm {rep.per_factor[fi]} vs sampling {changes}"
+        if curves < 2:  # the merged total against Sturm on the product
+            product = UniPoly.const(1)
+            for restricted in restrictions:
+                product = product * restricted
+            whole = sturm_count(product)
+            if rep.total != whole:
+                return False, f"total {rep.total} vs product Sturm {whole}"
         curves += 1
     return True, f"{curves} lifted circles: Sturm counts match dense sampling"
 

@@ -84,6 +84,14 @@ class TestBadInput:
         cfg.write_text(text)
         assert_one_line_exit(["count", "--config", str(cfg)], cli.EXIT_USAGE)
 
+    @pytest.mark.parametrize("flags", [
+        ["--coord-range", "0"],
+        ["--den-bound", "0"],
+        ["--kind", "pencil", "--m", "1", "--n", "5", "--coord-range", "1", "--den-bound", "1"],
+    ], ids=["coord-range-0", "den-bound-0", "pencil-too-few-offsets"])
+    def test_generator_ranges_too_small(self, flags):
+        assert_one_line_exit(["count", *flags], cli.EXIT_INFEASIBLE)
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads(self, threads):
         assert_one_line_exit(["count", "--kind", "pencil", "--m", "1", "--n", "3",

@@ -27,6 +27,11 @@ class TestGenSpec:
         with pytest.raises(InfeasibleSpecError):
             GenSpec("nope", 1, 1)
 
+    @pytest.mark.parametrize("field", ["coord_range", "den_bound"])
+    def test_ranges_below_one_rejected(self, field):
+        with pytest.raises(InfeasibleSpecError):
+            GenSpec("random-tangency", 3, 3, **{field: 0})
+
 
 class TestPencil:
     def test_planted_equals_engine_count(self):
@@ -37,6 +42,13 @@ class TestPencil:
     def test_multi_point_pencil_infeasible(self):
         with pytest.raises(InfeasibleSpecError):
             gen(GenSpec("pencil", 2, 10, seed=1))
+
+    def test_offsets_exhausted(self):
+        # |s| <= 1 with denominator <= 3: +-1, +-1/2, +-1/3, +-2/3
+        inst, planted = gen(GenSpec("pencil", 1, 8, seed=2, coord_range=1, den_bound=3))
+        assert planted == 8 and len(set(c.center for c in inst.curves)) == 8
+        with pytest.raises(InfeasibleSpecError):
+            gen(GenSpec("pencil", 1, 9, seed=2, coord_range=1, den_bound=3))
 
 
 class TestRandomTangency:

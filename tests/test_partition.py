@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.anchored import LiftedCircle, lifted_param
-from incidencelab.polynomials import RationalCurve, UniPoly, tri
+from incidencelab.polynomials import MPoly, RationalCurve, UniPoly, restrict_to_curve, sturm_count, tri
 from incidencelab.partition import (
     PartitionError,
     PartitionPoly,
+    _best_constant,
+    _class_labels,
     build_partition,
     classify,
     curve_crossings,
@@ -182,3 +185,234 @@ class TestCrossings:
             rep = curve_crossings(curve, pp)
             # lifted circles are degree-4 space curves
             assert rep.total <= 4 * pp.degree_budget
+
+
+class TestGolden:
+    def test_partition_json_unchanged(self):
+        # captured before the search moved to integer-cleared rows: a change
+        # to any float row or to the search path shows up here
+        rng = random.Random(2024)
+        pts = rand_points(rng, 256)
+        pp = build_partition(pts, 3, 0.15, seed=31)
+        assert pp.level_degrees == [1, 1, 2]
+        assert pp.to_json() == {
+            "factors": [
+                {"vars": ["x", "y", "z"],
+                 "terms": {"0,0,0": "-1837/60", "0,0,1": "-9", "0,1,0": "6", "1,0,0": "-6"}},
+                {"vars": ["x", "y", "z"],
+                 "terms": {"0,0,0": "14165/468", "0,0,1": "-4", "0,1,0": "-9", "1,0,0": "-7"}},
+                {"vars": ["x", "y", "z"],
+                 "terms": {"0,0,0": "91328903/15270", "0,0,1": "14", "0,0,2": "-1", "0,1,0": "-6",
+                           "0,1,1": "-2", "0,2,0": "-9", "1,0,0": "-6", "1,0,1": "-4", "1,1,0": "23",
+                           "2,0,0": "-9"}},
+            ],
+            "level_degrees": [1, 1, 2],
+            "balances": [0.0, 0.0, 0.0],
+            "epsilon": 0.15,
+            "seed": 31,
+            "cell_model": "sign-vector classes (coarsening of connected components)",
+        }
+
+
+def best_constant_per_class(vals, classes, target):
+    """The per-class scan: sort each class, two searchsorted calls per class."""
+    pooled = np.unique(vals)
+    if pooled.size == 0:
+        return 0.0, (float("inf"), float("inf"))
+    mids = (pooled[:-1] + pooled[1:]) / 2 if pooled.size > 1 else np.array([])
+    thetas = np.concatenate(([pooled[0] - 1.0], mids, [pooled[-1] + 1.0]))
+    worst = np.zeros(thetas.size)
+    imbalance = np.zeros(thetas.size)
+    for idx in classes:
+        v = np.sort(vals[idx])
+        below = np.searchsorted(v, thetas, side="left")
+        above = v.size - np.searchsorted(v, thetas, side="right")
+        worst = np.maximum(worst, np.maximum(below, above))
+        imbalance += (above - below).astype(float) ** 2
+    excess = np.maximum(0.0, worst - target)
+    best = int(np.lexsort((imbalance, excess))[0])
+    return float(thetas[best]), (float(excess[best]), float(imbalance[best]))
+
+
+def adjacent_floats(rng, base, m):
+    out = []
+    for _ in range(m):
+        v = base
+        for _ in range(rng.randrange(4)):
+            v = np.nextafter(v, rng.choice([np.inf, -np.inf]))
+        out.append(v)
+    return np.array(out)
+
+
+class TestBestConstant:
+    def check(self, vals, classes, target):
+        got = _best_constant(vals, *_class_labels(classes, vals.size), target)
+        assert got == best_constant_per_class(vals, classes, target)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, 2.5, 6.0, 100.0])
+    def test_duplicates(self, target):
+        vals = np.array([3.0, 1.0, 3.0, 3.0, -2.0, 1.0, 0.0, 3.0, -2.0, 5.0])
+        self.check(vals, [np.array([0, 1, 2, 3]), np.array([4, 5, 6]), np.array([7, 8, 9])], target)
+
+    @pytest.mark.parametrize("base", [1.0, -0.5, 1e16, -1e16, 1e300, -1e300])
+    def test_adjacent_floats(self, base):
+        # midpoints of neighbouring floats round onto one of them
+        rng = random.Random(repr(base))
+        for _ in range(30):
+            m = rng.randrange(2, 25)
+            vals = adjacent_floats(rng, base, m)
+            perm = rng.sample(range(m), m)
+            cut = rng.randrange(1, m + 1)
+            classes = [np.array(sorted(perm[:cut][k::2])) for k in range(2)]
+            self.check(vals, [c for c in classes if c.size], rng.choice([0.0, m / 4, m / 2]))
+
+    @pytest.mark.parametrize("scale", [1e16, 1e300])
+    def test_huge_magnitudes(self, scale):
+        rng = random.Random(repr(scale))
+        for _ in range(30):
+            m = rng.randrange(1, 40)
+            vals = np.array([rng.randint(-6, 6) * scale + rng.randint(-3, 3) for _ in range(m)])
+            classes = [np.array(sorted(rng.sample(range(m), rng.randrange(1, m + 1))))]
+            self.check(vals, classes, rng.choice([0.0, m / 3]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf + -inf, overflowing sums
+    def test_overflowing_midpoints(self):
+        # a midpoint of two values near the float limit overflows to inf
+        rng = random.Random(11)
+        pool = [1.7e308, -1.7e308, 1.6e308, 1e308, 0.0, float("inf"), float("-inf"), 1.0]
+        for _ in range(60):
+            m = rng.randrange(1, 20)
+            vals = np.array([rng.choice(pool) for _ in range(m)])
+            classes = [np.array(sorted(rng.sample(range(m), rng.randrange(1, m + 1))))]
+            self.check(vals, classes, rng.choice([0.0, m / 3]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_values(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            m = rng.randrange(2, 20)
+            vals = np.array([rng.choice([float("nan"), float(rng.randint(-3, 3))]) for _ in range(m)])
+            classes = [np.array(sorted(rng.sample(range(m), rng.randrange(1, m + 1))))]
+            target = rng.choice([0.0, m / 3])
+            got = _best_constant(vals, *_class_labels(classes, m), target)
+            np.testing.assert_equal(got, best_constant_per_class(vals, classes, target))
+
+    def test_classes_missing_indices(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            m = rng.randrange(1, 50)
+            vals = np.array([float(rng.randint(-5, 5)) for _ in range(m)])
+            owner = [rng.randrange(-1, 4) for _ in range(m)]  # -1: in no class
+            classes = [np.array([i for i in range(m) if owner[i] == c]) for c in range(4)]
+            self.check(vals, [c for c in classes if c.size], rng.choice([0.0, m / 4, m / 2 + 0.5]))
+
+    def test_no_classes_and_no_values(self):
+        self.check(np.array([2.0, -1.0, 2.0]), [], 0.0)
+        assert _best_constant(np.array([]), *_class_labels([], 0), 1.0) == (0.0, (float("inf"), float("inf")))
+
+    def test_seeded_search_inputs(self):
+        # the shapes the level search produces: partitions of all points
+        rng = np.random.default_rng(5)
+        for level in range(1, 5):
+            m = 300
+            vals = rng.normal(size=m) * 10.0 ** rng.integers(-3, 6)
+            labels = rng.integers(0, 2 ** (level - 1), m)
+            classes = [np.flatnonzero(labels == c) for c in range(2 ** (level - 1))]
+            for target in (m / 2 ** level, 1.1 * m / 2 ** level):
+                self.check(vals, [c for c in classes if c.size], target)
+
+
+def crossings_by_product(curve, pp):
+    product = UniPoly.const(1)
+    for f in pp.factors:
+        restricted = restrict_to_curve(f, curve)
+        if not restricted.is_zero():
+            product = product * restricted
+    return sturm_count(product)
+
+
+def factors_partition(*factors):
+    return PartitionPoly(list(factors), [f.total_degree() for f in factors], [0.0] * len(factors), 0.1, 0)
+
+
+class TestMergedTotal:
+    @pytest.mark.parametrize("factors, total", [
+        # x, x + y - 1 and x - y + 1 all vanish at (0, 1), parameter s = 1
+        ([tri({(1, 0, 0): 1}), tri({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1}),
+          tri({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): 1})], 3),
+        # x + y - 1 meets x = 0 at s = 1 and y = 0 at s = 0
+        ([tri({(1, 0, 0): 1}), tri({(0, 1, 0): 1}), tri({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): -1})], 3),
+        ([tri({(1, 0, 0): 1}), tri({(1, 0, 0): 3})], 2),
+        ([tri({(2, 0, 0): 1}), tri({(0, 1, 0): 1})], 3),
+        ([tri({(0, 0, 1): 1, (0, 0, 0): -5}), tri({(1, 0, 0): 1})], 2),
+        ([tri({(0, 0, 1): 1}), tri({(1, 0, 0): 2, (0, 0, 0): -1}), tri({(0, 0, 1): 3})], 2),
+        ([tri({(0, 0, 1): 1})], 0),
+    ], ids=["shared-by-three", "shared-with-each-earlier", "scalar-multiple", "squared", "nonzero-constant", "contained", "only-contained"])
+    def test_crafted(self, factors, total):
+        pp = factors_partition(*factors)
+        rep = curve_crossings(unit_circle_in_plane(0), pp)
+        assert rep.total == crossings_by_product(unit_circle_in_plane(0), pp) == total
+
+    def test_per_factor_and_contained(self):
+        pp = factors_partition(tri({(0, 0, 1): 1}), tri({(2, 0, 0): 1}), tri({(0, 0, 1): 1, (0, 0, 0): -5}))
+        rep = curve_crossings(unit_circle_in_plane(0), pp)
+        assert rep.per_factor == ["contained", 2, 0]
+
+    def test_seeded_lifted_circles(self):
+        rng = random.Random(23)
+        pts = rand_points(rng, 128)
+        pp = build_partition(pts, 3, 0.2, seed=24)
+        curves = 0
+        while curves < 20:
+            w = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
+            p = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
+            if p == w:
+                continue
+            curve = lifted_param(LiftedCircle(Circle2(w, (p - w).norm2())), p)
+            assert curve_crossings(curve, pp).total == crossings_by_product(curve, pp)
+            curves += 1
+
+
+def signs_by_eval(points, pp):
+    out = []
+    for p in points:
+        vals = [f.eval({"x": p.x, "y": p.y, "z": p.z}) for f in pp.factors]
+        out.append(tuple((v > 0) - (v < 0) for v in vals))
+    return out
+
+
+class TestClassifyCleared:
+    def test_mixed_denominators(self):
+        rng = random.Random(29)
+        pts = [Vec3(Fraction(rng.randint(-90, 90), rng.randint(1, 12)),
+                    Fraction(rng.randint(-90, 90), rng.randint(1, 7)),
+                    rng.randint(-9, 9)) for _ in range(200)]
+        pp = build_partition(pts, 3, 0.2, seed=30)
+        assert classify(pts, pp).sign_vectors == signs_by_eval(pts, pp)
+
+    def test_zero_set_points(self):
+        # 3x - 2y + z/5 - 1/7 and x^2 + y^2 - 25/36 through chosen points
+        f = tri({(1, 0, 0): 3, (0, 1, 0): -2, (0, 0, 1): Fraction(1, 5), (0, 0, 0): Fraction(-1, 7)})
+        g = tri({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 0): Fraction(-25, 36)})
+        pts = [Vec3(Fraction(1, 21), 0, 0), Vec3(Fraction(1, 2), Fraction(2, 3), 0),
+               Vec3(0, Fraction(5, 6), Fraction(190, 21)), Vec3(Fraction(1, 3), Fraction(-1, 11), Fraction(2, 9))]
+        pp = factors_partition(f, g)
+        ca = classify(pts, pp)
+        assert ca.sign_vectors == signs_by_eval(pts, pp)
+        assert ca.on_zero_set == [True, True, True, False]
+        assert ca.sign_vectors[2] == (0, 0)
+
+    def test_factor_from_json_with_fractions(self):
+        f = MPoly.from_json({"vars": ["x", "y", "z"],
+                             "terms": {"0,0,0": "-1/3", "1,0,0": "2/5", "0,1,1": "7/2", "2,0,0": "-3/7",
+                                       "0,0,3": "5/11"}})
+        reordered = MPoly.from_json({"vars": ["z", "x", "y"], "terms": {"1,1,0": "3/4", "0,0,2": "-1/6",
+                                                                        "0,0,0": "1/9"}})
+        pp = PartitionPoly.from_json(factors_partition(f, reordered).to_json())
+        rng = random.Random(31)
+        pts = [Vec3(rand_rat(rng, 3, 9), rand_rat(rng, 3, 9), rand_rat(rng, 3, 9)) for _ in range(300)]
+        pts.append(Vec3(0, Fraction(-8, 231), 1))  # on the zero set of f
+        ca = classify(pts, pp)
+        assert ca.sign_vectors == signs_by_eval(pts, pp)
+        assert ca.sign_vectors[-1][0] == 0
+        assert len(set(ca.sign_vectors)) > 2
