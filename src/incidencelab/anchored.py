@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, Vec3, primitive_int_vec3, rat, solve2
+from .exact import RatLike, Vec2, Vec3, primitive_int_vec3, rand_tan_half, rat, solve2
 from .polynomials import MPoly, RationalCurve, UniPoly, XYZ
 from .tangency import Circle2, DirectedPoint
 
@@ -168,8 +168,8 @@ def h_p_sample(p: Vec3, k: int, rng, base_center: Optional[Vec3] = None) -> List
         c = p.scale(Fraction(1, 2))
         e1, e2 = tangent_basis(c)
         while len(out) < k:
-            a = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-            b = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+            a = rand_tan_half(rng)
+            b = rand_tan_half(rng)
             n = e1.scale(a) + e2.scale(b)
             if n.is_zero():
                 continue
@@ -178,7 +178,7 @@ def h_p_sample(p: Vec3, k: int, rng, base_center: Optional[Vec3] = None) -> List
     if base_center is None:
         raise ValueError("rational center witness required off the boundary")
     while len(out) < k:
-        t = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+        t = rand_tan_half(rng)
         c = center_circle_point(p, base_center, t)
         n = p.cross(c)
         if n.is_zero():
@@ -236,7 +236,7 @@ def anchored_point(g: AnchoredCircle, t: RatLike) -> Vec3:
 def anchored_point_sample(g: AnchoredCircle, rng) -> Vec3:
     """Random rational point on g, never the origin."""
     while True:
-        t = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+        t = rand_tan_half(rng)
         if t != 0:
             return anchored_point(g, t)
 

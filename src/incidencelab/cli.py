@@ -304,15 +304,15 @@ def _scan_sizes(family: str, base: int, steps: int, z_levels: int) -> List[Tuple
 
 
 def cmd_scan(cfg, stdout, stderr) -> int:
+    if cfg["base"] < 1:
+        raise UsageError("--base must be at least 1")
     family = cfg["family"]
     kind = {"st-grid": "st-grid-horizontal-lines"}.get(family, family)
+    _genspec(dict(cfg, kind=kind, m=0, n=0))  # rejects bad ranges and z-levels up front
     result = ScanResult(family)
     series = []
     for m, n in _scan_sizes(family, cfg["base"], cfg["steps"], cfg["z_levels"]):
-        spec = GenSpec(kind, m, n, seed=cfg["seed"],
-                       coord_range=cfg["coord_range"], den_bound=cfg["den_bound"],
-                       density=cfg["density"], z_levels=cfg["z_levels"])
-        inst, _ = gen(spec)
+        inst, _ = gen(_genspec(dict(cfg, kind=kind, m=m, n=n)))
         report = count(inst.points, inst.curves, mode=cfg["mode"], threads=cfg["threads"])
         result.rows.append(ScanRow(report.m, report.n, report.total,
                                    bound_ratio(report), report.seconds))
@@ -366,8 +366,9 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
     except InfeasibleSpecError as exc:
         print(f"infeasible spec: {exc}", file=stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
-        print(f"input not found: {exc}", file=stderr)
+    except OSError as exc:  # unreadable input, unwritable output
+        print(f"cannot access {exc.filename}: {exc.strerror}" if exc.filename else f"file error: {exc}",
+              file=stderr)
         return EXIT_USAGE
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .anchored import AnchoredCircle
 from .dual3 import DualLine3, DualPoint3, Line3
-from .exact import Vec3
+from .exact import Vec3, clear_denominators
 from .tangency import Circle2, DirectedPoint
 
 FLOAT_EPS = float(np.finfo(np.float64).eps)
@@ -99,10 +99,7 @@ def _int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
 
 
 def _int_point3(v) -> Tuple[int, int, int, int]:
-    if isinstance(v, DualPoint3):
-        v = v.as_vec3()
-    d = math.lcm(v.x.denominator, v.y.denominator, v.z.denominator)
-    return (int(v.x * d), int(v.y * d), int(v.z * d), d)
+    return clear_denominators(v.as_vec3() if isinstance(v, DualPoint3) else v)
 
 
 def _int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Tuple, Union
 
 RatLike = Union[Fraction, int]
@@ -116,6 +117,18 @@ class Vec3:
 ZERO3 = Vec3(0, 0, 0)
 
 
+def clear_denominators(v: Vec3) -> Tuple[int, int, int, int]:
+    """(X, Y, Z, D) with v = (X, Y, Z) / D and D the lcm of the denominators."""
+    d = lcm(v.x.denominator, v.y.denominator, v.z.denominator)
+    return (v.x.numerator * (d // v.x.denominator), v.y.numerator * (d // v.y.denominator),
+            v.z.numerator * (d // v.z.denominator), d)
+
+
+def rand_tan_half(rng) -> Fraction:
+    """Seeded rational rotation parameter (the tangent of a half angle)."""
+    return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+
+
 def solve2(
     a11: Fraction, a12: Fraction, a21: Fraction, a22: Fraction,
     b1: Fraction, b2: Fraction,
@@ -137,8 +150,6 @@ def primitive_int_vec3(v: Vec3) -> Vec3:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
     if v.is_zero():
         raise ValueError("zero vector has no primitive form")
-    from math import gcd, lcm
-
     den = lcm(v.x.denominator, v.y.denominator, v.z.denominator)
     nx, ny, nz = (v.x * den, v.y * den, v.z * den)
     g = gcd(int(nx), int(ny), int(nz))

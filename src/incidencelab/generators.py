@@ -34,16 +34,6 @@ class InfeasibleSpecError(Exception):
     pass
 
 
-KINDS = (
-    "random-tangency",
-    "pencil",
-    "circle-sampled",
-    "st-grid-horizontal-lines",
-    "anchored-random",
-    "anchored-planted",
-)
-
-
 @dataclass
 class GenSpec:
     kind: str
@@ -62,6 +52,8 @@ class GenSpec:
             raise InfeasibleSpecError("m and n must be nonnegative")
         if self.coord_range < 1 or self.den_bound < 1:
             raise InfeasibleSpecError("coord_range and den_bound must be at least 1")
+        if self.z_levels < 1:
+            raise InfeasibleSpecError("z_levels must be at least 1")
 
     def to_json(self) -> dict:
         return {
@@ -150,19 +142,7 @@ def _certify(instance: Instance) -> int:
 
 def gen(spec: GenSpec) -> Tuple[Instance, int]:
     """Generate an instance; returns it with the certified planted count."""
-    rng = random.Random(spec.seed)
-    if spec.kind == "random-tangency":
-        inst = _gen_random_tangency(spec, rng)
-    elif spec.kind == "pencil":
-        inst = _gen_pencil(spec, rng)
-    elif spec.kind == "circle-sampled":
-        inst = _gen_circle_sampled(spec, rng)
-    elif spec.kind == "st-grid-horizontal-lines":
-        inst = _gen_st_grid(spec, rng)
-    elif spec.kind == "anchored-random":
-        inst = _gen_anchored_random(spec, rng)
-    else:
-        inst = _gen_anchored_planted(spec, rng)
+    inst = GENERATORS[spec.kind](spec, random.Random(spec.seed))
     return inst, _certify(inst)
 
 
@@ -233,16 +213,15 @@ def _gen_st_grid(spec: GenSpec, rng) -> Instance:
     # Integer grid {1..k} x {1..2k^2} with lines y = s x + t (s in 1..2k,
     # t in 1..k^2), the classical tight slope/intercept family, replicated
     # on z_levels horizontal planes; m = n = 2k^3 per level.
-    levels = max(1, spec.z_levels)
-    k = st_grid_k(spec.m, levels)
+    k = st_grid_k(spec.m, spec.z_levels)
     points, curves, pairs = [], [], []
     point_index = {}
-    for lvl in range(levels):
+    for lvl in range(spec.z_levels):
         for i in range(1, k + 1):
             for j in range(1, 2 * k * k + 1):
                 point_index[(i, j, lvl)] = len(points)
                 points.append(Vec3(i, j, lvl))
-    for lvl in range(levels):
+    for lvl in range(spec.z_levels):
         for s in range(1, 2 * k + 1):
             for t in range(1, k * k + 1):
                 line_idx = len(curves)
@@ -330,6 +309,17 @@ def _gen_anchored_planted(spec: GenSpec, rng) -> Instance:
         pairs.append((idx, j % spec.n))
         j += 1
     return Instance("anchored", points, curves, pairs)
+
+
+GENERATORS = {
+    "random-tangency": _gen_random_tangency,
+    "pencil": _gen_pencil,
+    "circle-sampled": _gen_circle_sampled,
+    "st-grid-horizontal-lines": _gen_st_grid,
+    "anchored-random": _gen_anchored_random,
+    "anchored-planted": _gen_anchored_planted,
+}
+KINDS = tuple(GENERATORS)
 
 
 # ---------------------------------------------------------------------------

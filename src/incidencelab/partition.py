@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Vec3
+from .exact import Vec3, clear_denominators
 from .polynomials import (
     MPoly,
     RationalCurve,
@@ -114,13 +114,6 @@ def least_lift_degree(class_count: int) -> int:
     while math.comb(d + 3, 3) <= class_count:
         d += 1
     return d
-
-
-def _clear(p: Vec3) -> Tuple[int, int, int, int]:
-    """(X, Y, Z, D) with (x, y, z) = (X, Y, Z) / D and D the lcm of the denominators."""
-    d = math.lcm(p.x.denominator, p.y.denominator, p.z.denominator)
-    return (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator),
-            p.z.numerator * (d // p.z.denominator), d)
 
 
 def _powers(v: int, n: int) -> List[int]:
@@ -322,7 +315,7 @@ def build_partition(
     signs_so_far: List[List[int]] = [[] for _ in range(m)]
     best_eps_seen = float("inf")
 
-    cleared = [_clear(p) for p in points]
+    cleared = [clear_denominators(p) for p in points]
     lift_degree = None
     for level in range(1, levels + 1):
         d = least_lift_degree(len(class_map))
@@ -374,7 +367,7 @@ def build_partition(
 
 def classify(points: Sequence[Vec3], pp: PartitionPoly) -> CellAssignment:
     """Exact sign evaluation of every factor at every point."""
-    cleared = [_clear(p) for p in points]
+    cleared = [clear_denominators(p) for p in points]
     columns = [_signs(cleared, f) for f in pp.factors]
     sign_vectors = [tuple(col[i] for col in columns) for i in range(len(points))]
     on_zero = [0 in sv for sv in sign_vectors]

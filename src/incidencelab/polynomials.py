@@ -225,10 +225,12 @@ def _chain_signs_at(chain: List[UniPoly], t: Optional[Fraction], at_pos_inf: boo
 def sturm_count(p: UniPoly, a: Optional[Coef] = None, b: Optional[Coef] = None) -> int:
     """Count distinct real roots of p strictly inside the open interval (a, b).
 
-    None endpoints mean -infinity / +infinity.  The count is exact: the
-    square-free part of p is run through a signed-remainder Sturm chain with
-    content removal at each step, and roots landing exactly on a finite
-    endpoint are excluded.
+    None endpoints mean -infinity / +infinity.  The count is exact: p is run
+    through a signed-remainder Sturm chain with content removal at each step,
+    and roots landing exactly on a finite endpoint are excluded.  The chain
+    ends in gcd(p, p'), which is nonzero at +-infinity, so there the chain of
+    p itself counts distinct roots; a finite endpoint may be a multiple root,
+    so the chain is divided by its last element before it is evaluated there.
     """
     if p.is_zero():
         raise ValueError("indeterminate root set")
@@ -238,13 +240,14 @@ def sturm_count(p: UniPoly, a: Optional[Coef] = None, b: Optional[Coef] = None) 
     b = None if b is None else rat(b)
     if a is not None and b is not None and a >= b:
         return 0
-    sf = square_free_part(p)
-    chain = _sturm_chain(sf)
+    chain = _sturm_chain(p)
+    if (a is not None or b is not None) and chain[-1].degree() > 0:
+        chain = [q.divmod(chain[-1])[0] for q in chain]
     va = _variations(_chain_signs_at(chain, a, at_pos_inf=False))
     vb = _variations(_chain_signs_at(chain, b, at_pos_inf=True))
     count = va - vb
     # V(a)-V(b) counts roots in (a, b]; drop b itself for the open interval.
-    if b is not None and sf.eval(b) == 0:
+    if b is not None and chain[0].eval(b) == 0:
         count -= 1
     return count
 

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, rat, rat_from_str, rat_to_str, solve2
+from .exact import RatLike, Vec2, rand_tan_half, rat, rat_from_str, rat_to_str, solve2
 
 
 class VerticalTangent(Exception):
@@ -259,7 +259,7 @@ def tangent_point_sample(c: Circle2, base: Vec2, rng) -> DirectedPoint:
     """Sample a directed point tangent to c by a random rational rotation of
     a known rational point on c; resamples internally on vertical tangents."""
     for _ in range(64):
-        t = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+        t = rand_tan_half(rng)
         p = rotate_on_circle(c, base, t)
         try:
             return tangent_at(c, p)

@@ -4,6 +4,11 @@ Every invariant promised by a module is a named check here; the CLI verify
 subcommand runs them all and the test manifest asserts none is missing.
 Checks take a seeded rng and a scale factor (1.0 runs the full advertised
 trial counts; smaller scales are for smoke runs) and return (ok, message).
+
+The acceptance tests check several of the same invariants at their own
+seeds and trial counts.  One trial of each such check is a module-level
+kernel that both call: it draws from the rng and returns a failure message
+(a str), SKIP when the draw is degenerate, or a value the caller counts.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,13 +26,14 @@ from . import dual3
 from . import engine as eng
 from . import generators as gens
 from . import partition as part
-from .exact import Vec2, Vec3, det3
+from .exact import Vec2, Vec3, det3, rand_tan_half
 from .generators import _rand_circle, _rand_dp, rand_rat
-from .polynomials import UniPoly, poly_gcd, sturm_count
+from .polynomials import UniPoly, poly_gcd, restrict_to_curve, sturm_count
 from .tangency import (
     Circle2,
     DirectedPoint,
     FStatus,
+    _foot,
     common_circle,
     eval_F,
     is_tangent,
@@ -50,6 +57,25 @@ def check(name: str):
 
 def _trials(base: int, scale: float, floor: int = 20) -> int:
     return max(floor, int(base * scale))
+
+
+SKIP = None  # a kernel's result for a degenerate draw, which does not count
+
+
+def run_trials(results: Iterable) -> Tuple[Optional[str], list]:
+    """Consume kernel results up to the first failure message; returns that
+    message (None when every trial passed) and the results that count."""
+    counted = []
+    for result in results:
+        if isinstance(result, str):
+            return result, counted
+        if result is not SKIP:
+            counted.append(result)
+    return None, counted
+
+
+def _verdict(failure: Optional[str], message: str) -> CheckResult:
+    return (False, failure) if failure else (True, message)
 
 
 # --- exact-kernel -----------------------------------------------------------
@@ -137,37 +163,39 @@ def _resultant_vs_gcd(rng, scale) -> CheckResult:
 # --- plane-tangency ---------------------------------------------------------
 
 
+def common_circle_trial(rng, on_circle: bool):
+    """Two random directed points, or two tangent to one random circle (F
+    must then vanish, whatever its status): a common circle exists exactly
+    on the regular F = 0 branch and touches both.  Returns whether one did."""
+    if on_circle:
+        c, base = _rand_circle(rng)
+        a, b = tangent_point_sample(c, base, rng), tangent_point_sample(c, base, rng)
+    else:
+        a, b = _rand_dp(rng), _rand_dp(rng)
+    if a == b:
+        return SKIP
+    value, status = eval_F(a, b)
+    if on_circle and value != 0:
+        return f"F = {value} on a pair tangent to one circle: {a}, {b}"
+    circle = common_circle(a, b)
+    if status is FStatus.REGULAR and value == 0:
+        if circle is None:
+            # the only escape is a foot collapsing onto p or q
+            w = _foot(a, b)
+            if w != a.p and w != b.p:
+                return f"missing circle for regular F=0 pair {a}, {b}"
+        elif not (is_tangent(a, circle) and is_tangent(b, circle)):
+            return "returned circle fails tangency"
+    elif circle is not None:
+        return "circle produced outside the regular F=0 branch"
+    return circle is not None
+
+
 @check("common-circle-characterization")
 def _common_circle_char(rng, scale) -> CheckResult:
     trials = _trials(100000, scale)
-    random_part = trials // 2
-    for i in range(trials):
-        if i < random_part:
-            a, b = _rand_dp(rng), _rand_dp(rng)
-        else:
-            c, base = _rand_circle(rng)
-            a = tangent_point_sample(c, base, rng)
-            b = tangent_point_sample(c, base, rng)
-        if a == b:
-            continue
-        value, status = eval_F(a, b)
-        circle = common_circle(a, b)
-        expected = status is FStatus.REGULAR and value == 0
-        if expected:
-            w = Vec2(0, 0)  # foot recomputed through the constructor path
-            if circle is None:
-                # the only escape is a foot collapsing onto p or q
-                from .tangency import _foot
-
-                w = _foot(a, b)
-                if w != a.p and w != b.p:
-                    return False, f"missing circle for regular F=0 pair {a}, {b}"
-            else:
-                if not (is_tangent(a, circle) and is_tangent(b, circle)):
-                    return False, "returned circle fails tangency"
-        elif circle is not None:
-            return False, "circle produced outside the regular F=0 branch"
-    return True, f"{trials} pairs characterized with zero failures"
+    failure, _ = run_trials(common_circle_trial(rng, i >= trials // 2) for i in range(trials))
+    return _verdict(failure, f"{trials} pairs characterized with zero failures")
 
 
 @check("tangency-pair-uniqueness")
@@ -196,57 +224,47 @@ def _pair_uniqueness(rng, scale) -> CheckResult:
     return True, "no coexisting second tangent circle found"
 
 
+def _centers_collinear(circles: List[Circle2]) -> bool:
+    return det3(*(Vec3(c.center.x, c.center.y, 1) for c in circles)) == 0
+
+
+def engineered_triple_trial(rng):
+    """Three directed points tangent to one random circle: when all three
+    pairwise common circles exist (SKIP otherwise), their centers coincide,
+    so they are collinear."""
+    c, base = _rand_circle(rng)
+    dps = [tangent_point_sample(c, base, rng) for _ in range(3)]
+    if len(set(dps)) < 3:
+        return SKIP
+    circles = [common_circle(a, b) for a, b in combinations(dps, 2)]
+    if any(cc is None for cc in circles):
+        return SKIP
+    if not _centers_collinear(circles):
+        return f"non-collinear centers from one-circle triple {dps}"
+    return True
+
+
+def random_triple_trial(rng):
+    """Three random directed points: when every pair has F = 0 on the regular
+    branch (SKIP otherwise), the three common circles' centers are collinear."""
+    dps = [_rand_dp(rng) for _ in range(3)]
+    if len(set(dps)) < 3:
+        return SKIP
+    for a, b in combinations(dps, 2):
+        value, status = eval_F(a, b)
+        if status is not FStatus.REGULAR or value != 0:
+            return SKIP
+    if not _centers_collinear([common_circle(a, b) for a, b in combinations(dps, 2)]):
+        return f"non-collinear centers from random triple {dps}"
+    return True
+
+
 @check("triple-collinearity")
 def _triple_collinearity(rng, scale) -> CheckResult:
-    # engineered triples from one circle: pairwise common circles exist and
-    # all centers coincide, so the collinearity determinant vanishes
-    for _ in range(_trials(10000, scale)):
-        c, base = _rand_circle(rng)
-        dps = [tangent_point_sample(c, base, rng) for _ in range(3)]
-        if len({(d.p, d.u) for d in dps}) < 3:
-            continue
-        centers = []
-        ok = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                cc = common_circle(dps[i], dps[j])
-                if cc is None:
-                    ok = False
-                    break
-                centers.append(cc.center)
-            if not ok:
-                break
-        if not ok:
-            continue
-        det = det3(
-            Vec3(centers[0].x, centers[0].y, 1),
-            Vec3(centers[1].x, centers[1].y, 1),
-            Vec3(centers[2].x, centers[2].y, 1),
-        )
-        if det != 0:
-            return False, f"non-collinear centers from one-circle triple {dps}"
-    # counterexample search over random triples
-    found = 0
-    for _ in range(_trials(100000, scale)):
-        dps = [_rand_dp(rng) for _ in range(3)]
-        if len({(d.p, d.u) for d in dps}) < 3:
-            continue
-        vals = []
-        regular = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                v, s = eval_F(dps[i], dps[j])
-                vals.append(v)
-                regular = regular and s is FStatus.REGULAR
-        if regular and all(v == 0 for v in vals):
-            centers = [common_circle(dps[i], dps[j]).center for i in range(3) for j in range(i + 1, 3)]
-            det = det3(
-                Vec3(centers[0].x, centers[0].y, 1),
-                Vec3(centers[1].x, centers[1].y, 1),
-                Vec3(centers[2].x, centers[2].y, 1),
-            )
-            if det != 0:
-                found += 1
+    failure, _ = run_trials(engineered_triple_trial(rng) for _ in range(_trials(10000, scale)))
+    if failure:
+        return False, failure
+    found = sum(isinstance(random_triple_trial(rng), str) for _ in range(_trials(100000, scale)))
     if found:
         return False, f"{found} non-collinear counterexamples found in random search"
     return True, "one-circle triples collinear; random search found no counterexample"
@@ -273,43 +291,49 @@ def _orthogonal_power(rng, scale) -> CheckResult:
 # --- anchored-space ---------------------------------------------------------
 
 
+def anchored_pair_trial(rng):
+    """Two random anchored circles (SKIP when equal) share at most two
+    points, the first the origin, and each lies on both."""
+    g1, g2 = gens.rand_anchored_circle(rng), gens.rand_anchored_circle(rng)
+    if g1 == g2:
+        return SKIP
+    pts = anc.anchored_pair_intersections(g1, g2)
+    if not (1 <= len(pts) <= 2) or not pts[0].is_zero():
+        return f"pair intersection bound violated: {len(pts)} points"
+    if not all(anc.anchored_incident(x, g1) and anc.anchored_incident(x, g2) for x in pts):
+        return "intersection point fails incidence"
+    return True
+
+
+def through_pair_trial(rng, on_circle: bool, den: int):
+    """Two points sampled on one random anchored circle, or two random points
+    with |coordinates| <= 2 and denominators <= den (SKIP when rejected): a
+    circle returned through them holds both.  Returns whether one was."""
+    if on_circle:
+        g = gens.rand_anchored_circle(rng)
+        p, q = anc.anchored_point_sample(g, rng), anc.anchored_point_sample(g, rng)
+    else:
+        p, q = (Vec3(rand_rat(rng, 2, den), rand_rat(rng, 2, den), rand_rat(rng, 2, den)) for _ in range(2))
+    try:
+        got = anc.anchored_through_pair(p, q)
+    except ValueError:
+        return SKIP
+    if got is not None and not (anc.anchored_incident(p, got) and anc.anchored_incident(q, got)):
+        return f"through-pair circle misses its points: {p}, {q}"
+    return got is not None
+
+
 @check("anchored-pair-bound")
 def _anchored_pair_bound(rng, scale) -> CheckResult:
-    for _ in range(_trials(10000, scale)):
-        g1 = gens.rand_anchored_circle(rng)
-        g2 = gens.rand_anchored_circle(rng)
-        if g1 == g2:
-            continue
-        pts = anc.anchored_pair_intersections(g1, g2)
-        if not (1 <= len(pts) <= 2) or not pts[0].is_zero():
-            return False, f"pair intersection bound violated: {len(pts)} points"
-        for x in pts:
-            if not (anc.anchored_incident(x, g1) and anc.anchored_incident(x, g2)):
-                return False, "intersection point fails incidence"
-    return True, "anchored circle pairs share at most 2 points, one the origin"
+    failure, _ = run_trials(anchored_pair_trial(rng) for _ in range(_trials(10000, scale)))
+    return _verdict(failure, "anchored circle pairs share at most 2 points, one the origin")
 
 
 @check("anchored-dual-uniqueness")
 def _anchored_dual_uniqueness(rng, scale) -> CheckResult:
     trials = _trials(10000, scale)
-    returned = 0
-    for i in range(trials):
-        if i % 2 == 0:
-            p = Vec3(rand_rat(rng, 2, 10), rand_rat(rng, 2, 10), rand_rat(rng, 2, 10))
-            q = Vec3(rand_rat(rng, 2, 10), rand_rat(rng, 2, 10), rand_rat(rng, 2, 10))
-        else:
-            g = gens.rand_anchored_circle(rng)
-            p = anc.anchored_point_sample(g, rng)
-            q = anc.anchored_point_sample(g, rng)
-        try:
-            got = anc.anchored_through_pair(p, q)
-        except ValueError:
-            continue
-        if got is not None:
-            returned += 1
-            if not (anc.anchored_incident(p, got) and anc.anchored_incident(q, got)):
-                return False, f"through-pair circle misses its points: {p}, {q}"
-    return True, f"at most one circle per pair; {returned} returned circles verified"
+    failure, returned = run_trials(through_pair_trial(rng, i % 2 == 1, 10) for i in range(trials))
+    return _verdict(failure, f"at most one circle per pair; {sum(returned)} returned circles verified")
 
 
 @check("lift-tangency-equivalence")
@@ -323,23 +347,33 @@ def _lift_equivalence(rng, scale) -> CheckResult:
     return True, "lifted_contains equivalent to is_tangent on all trials"
 
 
-@check("cubic-surface-vanishing")
-def _cubic_vanishing(rng, scale) -> CheckResult:
+def cubic_trials(rng) -> Callable[[], object]:
+    """Draws a random directed point and returns its trial: a random circle
+    tangent at that point (SKIP on a zero offset), whose lift's 10 random
+    samples all lie on the point's cubic surface.  Counts the evaluations."""
     dp0 = _rand_dp(rng)
     f = anc.cubic_surface(dp0)
     normal = Vec2(-dp0.u, 1)
-    circles = _trials(1000, scale, floor=10)
-    for _ in range(circles):
+
+    def trial():
         s = rand_rat(rng)
         if s == 0:
-            continue
-        c = Circle2(dp0.p + normal.scale(s), s * s * normal.norm2())
-        lc = anc.LiftedCircle(c)
+            return SKIP
+        lc = anc.LiftedCircle(Circle2(dp0.p + normal.scale(s), s * s * normal.norm2()))
         for _ in range(10):
             pt = anc.lift_sample(lc, dp0.p, rng)
             if f.eval({"x": pt.x, "y": pt.y, "z": pt.z}) != 0:
-                return False, f"cubic surface nonzero at lift sample {pt}"
-    return True, f"cubic vanished on 10 lift samples per {circles} tangent circles"
+                return f"cubic surface nonzero at lift sample {pt}"
+        return 10
+    return trial
+
+
+@check("cubic-surface-vanishing")
+def _cubic_vanishing(rng, scale) -> CheckResult:
+    trial = cubic_trials(rng)
+    circles = _trials(1000, scale, floor=10)
+    failure, _ = run_trials(trial() for _ in range(circles))
+    return _verdict(failure, f"cubic vanished on 10 lift samples per {circles} tangent circles")
 
 
 def _radical_line_tangency(c1: Circle2, c2: Circle2):
@@ -408,34 +442,43 @@ def _lifted_pair_bound(rng, scale) -> CheckResult:
 # --- dual3 ------------------------------------------------------------------
 
 
+def duality_trial(rng, incident: bool):
+    """A random circle and a random directed point, tangent to it when
+    incident: is_tangent, dual_incidence and lifted_contains agree."""
+    c, base = _rand_circle(rng)
+    a = tangent_point_sample(c, base, rng) if incident else _rand_dp(rng)
+    t1 = is_tangent(a, c)
+    t2 = dual3.dual_incidence(a, c)
+    t3 = anc.lifted_contains(anc.LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
+    if not (t1 == t2 == t3):
+        return f"duality mismatch for {a}, {c}: {t1}, {t2}, {t3}"
+    return True
+
+
+def power_trial(rng):
+    """A random circle lies on a random power plane iff its power with
+    respect to the plane's circle matches; the plane survives a round trip."""
+    c, _ = _rand_circle(rng)
+    a, b, d = rand_rat(rng), rand_rat(rng), rand_rat(rng)
+    pp = dual3.PowerPlane(a, b, d)
+    if dual3.dual_on_plane(c, pp) != (power(pp.w, c) == pp.rho):
+        return f"power decode mismatch for plane ({a},{b},{d})"
+    if dual3.encode_power(pp.w, pp.rho) != pp:
+        return "plane encode/decode round trip failed"
+    return True
+
+
 @check("master-duality")
 def _master_duality(rng, scale) -> CheckResult:
     trials = _trials(100000, scale)
-    for i in range(trials):
-        c, base = _rand_circle(rng)
-        if i % 3 == 0:
-            a = tangent_point_sample(c, base, rng)  # exercise the true branch
-        else:
-            a = _rand_dp(rng)
-        t1 = is_tangent(a, c)
-        t2 = dual3.dual_incidence(a, c)
-        t3 = anc.lifted_contains(anc.LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
-        if not (t1 == t2 == t3):
-            return False, f"duality mismatch for {a}, {c}: {t1}, {t2}, {t3}"
-    return True, f"{trials} pairs: is_tangent == dual_incidence == lifted_contains"
+    failure, _ = run_trials(duality_trial(rng, i % 3 == 0) for i in range(trials))
+    return _verdict(failure, f"{trials} pairs: is_tangent == dual_incidence == lifted_contains")
 
 
 @check("power-decoding")
 def _power_decoding(rng, scale) -> CheckResult:
-    for _ in range(_trials(10000, scale)):
-        c, _ = _rand_circle(rng)
-        a, b, d = rand_rat(rng), rand_rat(rng), rand_rat(rng)
-        pp = dual3.PowerPlane(a, b, d)
-        if dual3.dual_on_plane(c, pp) != (power(pp.w, c) == pp.rho):
-            return False, f"power decode mismatch for plane ({a},{b},{d})"
-        if dual3.encode_power(pp.w, pp.rho) != pp:
-            return False, "plane encode/decode round trip failed"
-    return True, "dual-on-plane equivalent to power equality; round trip identity"
+    failure, _ = run_trials(power_trial(rng) for _ in range(_trials(10000, scale)))
+    return _verdict(failure, "dual-on-plane equivalent to power equality; round trip identity")
 
 
 @check("line-in-plane-characterization")
@@ -476,7 +519,7 @@ def _rich_planes_completeness(rng, scale) -> CheckResult:
         guard = 0
         while len(pts) < k and guard < 300:
             guard += 1
-            t = Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+            t = rand_tan_half(rng)
             p = rotate_on_circle(circle, p0, t)
             if p.x == w.x:  # radial direction would be vertical
                 continue
@@ -627,34 +670,37 @@ def numeric_crossing_count(poly: UniPoly) -> int:
     return changes
 
 
+def crossing_trial(rng, pp: part.PartitionPoly, bound: int, whole: bool):
+    """A random lifted circle (numerators and denominators bounded by bound)
+    through curve_crossings: each factor's Sturm count matches dense
+    sampling, the total stays within the Bezout bound and, when whole, it
+    matches Sturm on the product of the restrictions."""
+    c, base = _rand_circle(rng, bound, bound)
+    curve = anc.lifted_param(anc.LiftedCircle(c), base)
+    rep = part.curve_crossings(curve, pp)
+    product = UniPoly.const(1)
+    for fi, f in enumerate(pp.factors):
+        restricted = restrict_to_curve(f, curve)
+        if restricted.is_zero():
+            continue
+        changes = numeric_crossing_count(restricted)
+        if rep.per_factor[fi] != changes:
+            return f"sturm {rep.per_factor[fi]} vs sampling {changes}"
+        if whole:
+            product = product * restricted
+    if rep.total > 4 * pp.degree_budget:  # lifted circles have degree 4
+        return f"crossings {rep.total} exceed Bezout bound"
+    if whole and rep.total != sturm_count(product):
+        return f"total {rep.total} vs product Sturm {sturm_count(product)}"
+    return True
+
+
 @check("partition-crossing-soundness")
 def _partition_crossings(rng, scale) -> CheckResult:
-    from .polynomials import restrict_to_curve
-
     pts, pp, _ = _partition_fixture(rng, scale)
-    curves = 0
-    for _ in range(_trials(30, scale, floor=8)):
-        c, base = _rand_circle(rng, 10, 10)
-        curve = anc.lifted_param(anc.LiftedCircle(c), base)
-        rep = part.curve_crossings(curve, pp)
-        restrictions = []
-        for fi, f in enumerate(pp.factors):
-            restricted = restrict_to_curve(f, curve)
-            if restricted.is_zero():
-                continue
-            restrictions.append(restricted)
-            changes = numeric_crossing_count(restricted)
-            if rep.per_factor[fi] != changes:
-                return False, f"sturm {rep.per_factor[fi]} vs sampling {changes}"
-        if curves < 2:  # the merged total against Sturm on the product
-            product = UniPoly.const(1)
-            for restricted in restrictions:
-                product = product * restricted
-            whole = sturm_count(product)
-            if rep.total != whole:
-                return False, f"total {rep.total} vs product Sturm {whole}"
-        curves += 1
-    return True, f"{curves} lifted circles: Sturm counts match dense sampling"
+    curves = _trials(30, scale, floor=8)
+    failure, _ = run_trials(crossing_trial(rng, pp, 10, i < 2) for i in range(curves))
+    return _verdict(failure, f"{curves} lifted circles: Sturm counts match dense sampling")
 
 
 @check("partition-bezout-bound")

@@ -2,7 +2,8 @@
 
 Each test prints a single ACCEPT-nn PASS/FAIL line (run pytest -s to see
 them inline); failures also fail the test.  Seeds are pinned so every run
-is identical.
+is identical.  Criteria that verify also checks run verify's trial kernels
+at their own seeds, trial counts and loop rules.
 """
 
 import random
@@ -10,25 +11,23 @@ import time
 from fractions import Fraction
 
 from incidencelab import anchored as anc
-from incidencelab import dual3
 from incidencelab.engine import bound_ratio, count, exponent_fit
-from incidencelab.exact import Vec2, Vec3, det3
+from incidencelab.exact import Vec3
 from incidencelab.generators import GenSpec, eval_Fstar, gen, horizontal_line_Fstar
-from incidencelab.generators import _rand_circle as rand_circle
-from incidencelab.generators import _rand_dp as rand_dp
 from incidencelab.generators import rand_rat as rr
-from incidencelab.partition import build_partition, classify, curve_crossings
-from incidencelab.polynomials import restrict_to_curve
-from incidencelab.tangency import (
-    Circle2,
-    FStatus,
-    common_circle,
-    eval_F,
-    is_tangent,
-    power,
-    tangent_point_sample,
+from incidencelab.partition import build_partition, classify
+from incidencelab.verify import (
+    anchored_pair_trial,
+    common_circle_trial,
+    crossing_trial,
+    cubic_trials,
+    duality_trial,
+    engineered_triple_trial,
+    power_trial,
+    random_triple_trial,
+    run_trials,
+    through_pair_trial,
 )
-from incidencelab.verify import numeric_crossing_count
 
 
 def report(num, desc):
@@ -45,24 +44,20 @@ def report(num, desc):
     return wrap
 
 
+def passing(results) -> list:
+    """The counted results of a run of verify's trial kernels; the first
+    failure message fails the test."""
+    failure, counted = run_trials(results)
+    assert failure is None, failure
+    return counted
+
+
 @report(1, "master duality: is_tangent == dual_incidence == lifted_contains on 1e5 pairs")
 def test_master_duality_equivalence():
     rng = random.Random(101)
     start = time.perf_counter()
-    mismatches = 0
-    for i in range(100_000):
-        c, base = rand_circle(rng)
-        if i % 10 == 0:  # exercise the incident branch too
-            a = tangent_point_sample(c, base, rng)
-        else:
-            a = rand_dp(rng)
-        t1 = is_tangent(a, c)
-        t2 = dual3.dual_incidence(a, c)
-        t3 = anc.lifted_contains(anc.LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
-        if not (t1 == t2 == t3):
-            mismatches += 1
+    passing(duality_trial(rng, i % 10 == 0) for i in range(100_000))  # every 10th pair incident
     elapsed = time.perf_counter() - start
-    assert mismatches == 0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     return f"0 discrepancies in {elapsed:.1f}s"
 
@@ -70,59 +65,24 @@ def test_master_duality_equivalence():
 @report(2, "power-plane correspondence and round trip on 1e4 pairs")
 def test_power_plane_correspondence():
     rng = random.Random(102)
-    for _ in range(10_000):
-        c, _ = rand_circle(rng)
-        a, b, d = rr(rng), rr(rng), rr(rng)
-        pp = dual3.PowerPlane(a, b, d)
-        assert dual3.dual_on_plane(c, pp) == (power(pp.w, c) == pp.rho)
-        assert dual3.encode_power(pp.w, pp.rho) == pp
+    passing(power_trial(rng) for _ in range(10_000))
     return "dual-on-plane iff power equality, encode/decode identity"
 
 
 @report(3, "F-consistency: circle implies regular zero F; on-circle pairs give F = 0")
 def test_F_consistency():
     rng = random.Random(103)
-    produced = 0
-    for _ in range(10_000):
-        a, b = rand_dp(rng), rand_dp(rng)
-        if a == b:
-            continue
-        circle = common_circle(a, b)
-        if circle is not None:
-            produced += 1
-            value, status = eval_F(a, b)
-            assert status is FStatus.REGULAR and value == 0
-            assert is_tangent(a, circle) and is_tangent(b, circle)
-    zeros = 0
-    for _ in range(10_000):
-        c, base = rand_circle(rng)
-        a = tangent_point_sample(c, base, rng)
-        b = tangent_point_sample(c, base, rng)
-        if a == b:
-            continue
-        value, _ = eval_F(a, b)
-        assert value == 0
-        zeros += 1
+    produced = sum(passing(common_circle_trial(rng, False) for _ in range(10_000)))
+    zeros = len(passing(common_circle_trial(rng, True) for _ in range(10_000)))
     return f"{produced} random-pair circles all verified; {zeros} on-circle pairs gave F=0"
 
 
 @report(4, "cubic surface vanishes on 1e4 exact lift samples")
 def test_cubic_surface_vanishing():
-    rng = random.Random(104)
-    dp0 = rand_dp(rng)
-    f = anc.cubic_surface(dp0)
-    normal = Vec2(-dp0.u, 1)
+    trial = cubic_trials(random.Random(104))
     evaluations = 0
     while evaluations < 10_000:
-        s = rr(rng)
-        if s == 0:
-            continue
-        c = Circle2(dp0.p + normal.scale(s), s * s * normal.norm2())
-        lc = anc.LiftedCircle(c)
-        for _ in range(10):
-            pt = anc.lift_sample(lc, dp0.p, rng)
-            assert f.eval({"x": pt.x, "y": pt.y, "z": pt.z}) == 0
-            evaluations += 1
+        evaluations += sum(passing([trial()]))
     return f"{evaluations} evaluations, all exactly zero"
 
 
@@ -131,93 +91,16 @@ def test_collinearity_consequence():
     rng = random.Random(105)
     engineered = 0
     while engineered < 10_000:
-        c, base = rand_circle(rng)
-        dps = [tangent_point_sample(c, base, rng) for _ in range(3)]
-        if len({(d.p, d.u) for d in dps}) < 3:
-            continue
-        centers = []
-        ok = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                cc = common_circle(dps[i], dps[j])
-                if cc is None:
-                    ok = False
-                    break
-                centers.append(cc.center)
-            if not ok:
-                break
-        if not ok:
-            continue
-        det = det3(
-            Vec3(centers[0].x, centers[0].y, 1),
-            Vec3(centers[1].x, centers[1].y, 1),
-            Vec3(centers[2].x, centers[2].y, 1),
-        )
-        assert det == 0
-        engineered += 1
-    counterexamples = 0
-    candidates = 0
-    for _ in range(100_000):
-        dps = [rand_dp(rng) for _ in range(3)]
-        if len({(d.p, d.u) for d in dps}) < 3:
-            continue
-        all_zero_regular = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                v, s = eval_F(dps[i], dps[j])
-                if s is not FStatus.REGULAR or v != 0:
-                    all_zero_regular = False
-                    break
-            if not all_zero_regular:
-                break
-        if not all_zero_regular:
-            continue
-        candidates += 1
-        centers = [common_circle(dps[i], dps[j]).center
-                   for i in range(3) for j in range(i + 1, 3)]
-        det = det3(
-            Vec3(centers[0].x, centers[0].y, 1),
-            Vec3(centers[1].x, centers[1].y, 1),
-            Vec3(centers[2].x, centers[2].y, 1),
-        )
-        if det != 0:
-            counterexamples += 1
-    assert counterexamples == 0
+        engineered += len(passing([engineered_triple_trial(rng)]))
+    candidates = len(passing(random_triple_trial(rng) for _ in range(100_000)))
     return f"{engineered} engineered triples collinear; search: {candidates} candidate triples, 0 counterexamples"
 
 
 @report(6, "anchored structure: pair uniqueness, 2-point bound, boundary midpoint")
 def test_anchored_structure():
-    from incidencelab.generators import rand_anchored_circle
-
     rng = random.Random(106)
-    returned = 0
-    for i in range(10_000):
-        if i % 2 == 0:
-            p = Vec3(rr(rng, 2, 25), rr(rng, 2, 25), rr(rng, 2, 25))
-            q = Vec3(rr(rng, 2, 25), rr(rng, 2, 25), rr(rng, 2, 25))
-        else:
-            g = rand_anchored_circle(rng)
-            p = anc.anchored_point_sample(g, rng)
-            q = anc.anchored_point_sample(g, rng)
-        try:
-            got = anc.anchored_through_pair(p, q)
-        except ValueError:
-            continue
-        if got is not None:
-            returned += 1
-            assert anc.anchored_incident(p, got) and anc.anchored_incident(q, got)
-    pairs = 0
-    for _ in range(10_000):
-        g1 = rand_anchored_circle(rng)
-        g2 = rand_anchored_circle(rng)
-        if g1 == g2:
-            continue
-        pts = anc.anchored_pair_intersections(g1, g2)
-        assert 1 <= len(pts) <= 2 and pts[0].is_zero()
-        for x in pts:
-            assert anc.anchored_incident(x, g1) and anc.anchored_incident(x, g2)
-        pairs += 1
+    returned = sum(passing(through_pair_trial(rng, i % 2 == 1, 25) for i in range(10_000)))
+    pairs = len(passing(anchored_pair_trial(rng) for _ in range(10_000)))
     boundary = 0
     while boundary < 1_000:
         c = anc.sphere_point(rr(rng, 3, 10), rr(rng, 3, 10))
@@ -238,18 +121,7 @@ def test_partition_contract():
     ca = classify(pts, pp)
     limit = 1.1 * 4096 / 16
     assert ca.max_population() <= limit, f"{ca.max_population()} > {limit}"
-    curves = 0
-    while curves < 100:
-        c, base = rand_circle(rng, 10, 10)
-        curve = anc.lifted_param(anc.LiftedCircle(c), base)
-        rep = curve_crossings(curve, pp)
-        for fi, f in enumerate(pp.factors):
-            restricted = restrict_to_curve(f, curve)
-            if restricted.is_zero():
-                continue
-            assert rep.per_factor[fi] == numeric_crossing_count(restricted)
-        assert rep.total <= 4 * pp.degree_budget
-        curves += 1
+    curves = len(passing(crossing_trial(rng, pp, 10, False) for _ in range(100)))
     return (f"max cell {ca.max_population()} <= {limit:.1f}; "
             f"{curves} lifted circles sound within Bezout bound {4 * pp.degree_budget}")
 

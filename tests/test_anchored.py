@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from incidencelab.exact import Vec2, Vec3
+from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.anchored import (
     AnchoredCircle,
     LiftedCircle,
@@ -25,11 +26,6 @@ from incidencelab.anchored import (
 )
 from incidencelab.polynomials import restrict_to_curve
 from incidencelab.tangency import Circle2, DirectedPoint, is_tangent
-
-
-def rand_rat(rng, mag=10, den=10):
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
 
 
 def rand_anchored(rng):
@@ -165,7 +161,7 @@ class TestHp:
         g0 = rand_anchored(rng)
         p = anchored_point_sample(g0, rng)
         for _ in range(50):
-            c = center_circle_point(p, g0.c, rand_rat(rng))
+            c = center_circle_point(p, g0.c, rand_rat(rng, 10, 10))
             assert c.norm2() == 1
             assert 2 * c.dot(p) == p.norm2()
 
@@ -214,25 +210,18 @@ class TestLift:
     def test_equivalence_with_is_tangent(self):
         rng = random.Random(13)
         for _ in range(300):
-            w = Vec2(rand_rat(rng), rand_rat(rng))
-            p = Vec2(rand_rat(rng), rand_rat(rng))
-            if p == w:
-                continue
-            c = Circle2(w, (p - w).norm2())
-            a = DirectedPoint(Vec2(rand_rat(rng), rand_rat(rng)), rand_rat(rng))
+            c, _ = _rand_circle(rng, 10, 10)
+            a = _rand_dp(rng, 10, 10)
             assert is_tangent(a, c) == lifted_contains(LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
 
     def test_param_points_on_lift(self):
         rng = random.Random(14)
         for _ in range(60):
-            w = Vec2(rand_rat(rng), rand_rat(rng))
-            p = Vec2(rand_rat(rng), rand_rat(rng))
-            if p == w:
-                continue
-            lc = LiftedCircle(Circle2(w, (p - w).norm2()))
+            c, p = _rand_circle(rng, 10, 10)
+            lc = LiftedCircle(c)
             curve = lifted_param(lc, p)
             for _ in range(10):
-                s = rand_rat(rng)
+                s = rand_rat(rng, 10, 10)
                 if curve.denominators_vanish_at(s):
                     continue
                 assert lifted_contains(lc, curve.point_at(s))
@@ -257,7 +246,7 @@ class TestCubicSurface:
     def test_vanishes_at_base_point(self):
         rng = random.Random(15)
         for _ in range(20):
-            a = DirectedPoint(Vec2(rand_rat(rng), rand_rat(rng)), rand_rat(rng))
+            a = _rand_dp(rng, 10, 10)
             f = cubic_surface(a)
             assert f.eval({"x": a.p.x, "y": a.p.y, "z": a.u}) == 0
 
@@ -267,11 +256,11 @@ class TestCubicSurface:
 
     def test_vanishes_on_lifts_of_tangent_circles(self):
         rng = random.Random(16)
-        dp0 = DirectedPoint(Vec2(rand_rat(rng), rand_rat(rng)), rand_rat(rng))
+        dp0 = _rand_dp(rng, 10, 10)
         f = cubic_surface(dp0)
         normal = Vec2(-dp0.u, 1)
         for _ in range(30):
-            s = rand_rat(rng)
+            s = rand_rat(rng, 10, 10)
             if s == 0:
                 continue
             c = Circle2(dp0.p + normal.scale(s), s * s * normal.norm2())
@@ -296,5 +285,5 @@ def test_anchored_point_parameterization():
     for _ in range(50):
         g = rand_anchored(rng)
         assert anchored_point(g, 0) == Vec3(0, 0, 0)
-        p = anchored_point(g, rand_rat(rng))
+        p = anchored_point(g, rand_rat(rng, 10, 10))
         assert anchored_incident(p, g)

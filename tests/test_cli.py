@@ -92,6 +92,25 @@ class TestBadInput:
     def test_generator_ranges_too_small(self, flags):
         assert_one_line_exit(["count", *flags], cli.EXIT_INFEASIBLE)
 
+    @pytest.mark.parametrize("argv, code", [
+        (["scan", "--family", "random-tangency", "--base", "0", "--steps", "2"], cli.EXIT_USAGE),
+        (["scan", "--family", "st-grid", "--z-levels", "0", "--steps", "1"], cli.EXIT_INFEASIBLE),
+        (["count", "--kind", "st-grid-horizontal-lines", "--m", "16", "--n", "16", "--z-levels", "0"],
+         cli.EXIT_INFEASIBLE),
+    ], ids=["scan-base-0", "scan-z-levels-0", "count-z-levels-0"])
+    def test_sizes_below_one(self, argv, code):
+        assert_one_line_exit(argv, code)
+
+    @pytest.mark.parametrize("flag, target", [
+        ("--out", "."), ("--input", "."), ("--out", "missing/x.json"), ("--input", "missing.json"),
+    ], ids=["out-directory", "input-directory", "out-missing-directory", "input-missing"])
+    def test_file_errors(self, tmp_path, flag, target):
+        path = str(tmp_path / target)
+        argv = ["count", "--kind", "pencil", "--m", "1", "--n", "3", flag, path]
+        assert_one_line_exit(argv, cli.EXIT_USAGE)
+        _, _, err = run(argv)
+        assert err.startswith(f"cannot access {path}: ")
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads(self, threads):
         assert_one_line_exit(["count", "--kind", "pencil", "--m", "1", "--n", "3",

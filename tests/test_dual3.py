@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from incidencelab.exact import Vec2, Vec3
+from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.dual3 import (
     DualPoint3,
     Line3,
@@ -28,11 +29,6 @@ def dp(px, py, u):
 
 def circ(cx, cy, r2):
     return Circle2(Vec2(cx, cy), r2)
-
-
-def rand_rat(rng, mag=10, den=10):
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
 
 
 class TestCircleDual:
@@ -61,8 +57,8 @@ class TestDualLine:
     def test_distinct_points_distinct_lines(self):
         rng = random.Random(21)
         for _ in range(2000):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-            b = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+            a = _rand_dp(rng, 10, 10)
+            b = _rand_dp(rng, 10, 10)
             if a == b:
                 continue
             la, lb = dp_dual_line(a).as_line3(), dp_dual_line(b).as_line3()
@@ -78,12 +74,8 @@ class TestDualIncidence:
     def test_master_equivalence_sample(self):
         rng = random.Random(22)
         for _ in range(2000):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-            w = Vec2(rand_rat(rng), rand_rat(rng))
-            p = Vec2(rand_rat(rng), rand_rat(rng))
-            if p == w:
-                continue
-            c = Circle2(w, (p - w).norm2())
+            a = _rand_dp(rng, 10, 10)
+            c, _ = _rand_circle(rng, 10, 10)
             assert dual_incidence(a, c) == is_tangent(a, c)
 
 
@@ -103,19 +95,14 @@ class TestPowerPlane:
     def test_power_equivalence_random(self):
         rng = random.Random(23)
         for _ in range(2000):
-            c = None
-            w = Vec2(rand_rat(rng), rand_rat(rng))
-            p = Vec2(rand_rat(rng), rand_rat(rng))
-            if p == w:
-                continue
-            c = Circle2(w, (p - w).norm2())
-            pp = PowerPlane(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+            c, _ = _rand_circle(rng, 10, 10)
+            pp = PowerPlane(rand_rat(rng, 10, 10), rand_rat(rng, 10, 10), rand_rat(rng, 10, 10))
             assert dual_on_plane(c, pp) == (power(pp.w, c) == pp.rho)
 
     def test_encode_round_trip(self):
         rng = random.Random(24)
         for _ in range(500):
-            a, b, d = rand_rat(rng), rand_rat(rng), rand_rat(rng)
+            a, b, d = rand_rat(rng, 10, 10), rand_rat(rng, 10, 10), rand_rat(rng, 10, 10)
             pp = PowerPlane(a, b, d)
             again = encode_power(pp.w, pp.rho)
             assert again == pp
@@ -131,8 +118,8 @@ class TestLineInPlane:
     def test_geometric_characterization(self):
         rng = random.Random(25)
         for _ in range(2000):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-            pp = PowerPlane(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+            a = _rand_dp(rng, 10, 10)
+            pp = PowerPlane(rand_rat(rng, 10, 10), rand_rat(rng, 10, 10), rand_rat(rng, 10, 10))
             if pp.rho <= 0:
                 continue
             w = pp.w
@@ -145,7 +132,7 @@ class TestLineInPlane:
         rng = random.Random(26)
         hits = 0
         for _ in range(500):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+            a = _rand_dp(rng, 10, 10)
             pp = encode_power(a.p + Vec2(1, a.u), (Vec2(1, a.u)).norm2())
             # w = p + (1, u): on the tangent-perpendicular? (w-p) = (1,u) is
             # parallel to (1,u): contained
@@ -188,7 +175,7 @@ class TestRichPlanes:
 
     def test_generic_points_no_rich_planes(self):
         rng = random.Random(27)
-        pts = [dp(rand_rat(rng), rand_rat(rng), rand_rat(rng)) for _ in range(12)]
+        pts = [_rand_dp(rng, 10, 10) for _ in range(12)]
         assert rich_planes(pts, 3) == []
 
     def test_two_line_span_reported(self):
@@ -320,7 +307,8 @@ class TestSpanningPairs:
         # radial directed points on a power circle around w span encode_power(w, rho)
         rng = random.Random(33)
         for i in range(300):
-            w, p = Vec2(rand_rat(rng), rand_rat(rng)), Vec2(rand_rat(rng), rand_rat(rng))
+            w = Vec2(rand_rat(rng, 10, 10), rand_rat(rng, 10, 10))
+            p = Vec2(rand_rat(rng, 10, 10), rand_rat(rng, 10, 10))
             if p.x == w.x:
                 continue
             circle = Circle2(w, (p - w).norm2())

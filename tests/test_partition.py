@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from incidencelab.exact import Vec2, Vec3
+from incidencelab.exact import Vec3
 from incidencelab.anchored import LiftedCircle, lifted_param
+from incidencelab.generators import _rand_circle, rand_rat
 from incidencelab.polynomials import MPoly, RationalCurve, UniPoly, restrict_to_curve, sturm_count, tri
 from incidencelab.partition import (
     PartitionError,
@@ -18,16 +19,11 @@ from incidencelab.partition import (
     least_lift_degree,
     veronese_monomials,
 )
-from incidencelab.tangency import Circle2
-
-
-def rand_rat(rng, mag=50, den=20):
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
+from incidencelab.verify import crossing_trial, run_trials
 
 
 def rand_points(rng, m):
-    return [Vec3(rand_rat(rng), rand_rat(rng), rand_rat(rng)) for _ in range(m)]
+    return [Vec3(rand_rat(rng, 50, 20), rand_rat(rng, 50, 20), rand_rat(rng, 50, 20)) for _ in range(m)]
 
 
 class TestLiftDegrees:
@@ -149,39 +145,18 @@ class TestCrossings:
         assert rep.total == 2
 
     def test_sturm_vs_numeric_sampling_on_lifted_circles(self):
-        from incidencelab.polynomials import restrict_to_curve
-        from incidencelab.verify import numeric_crossing_count
-
         rng = random.Random(13)
-        pts = rand_points(rng, 64)
-        pp = build_partition(pts, 2, 0.2, seed=14)
-        checked = 0
-        for _ in range(20):
-            w = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
-            p = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
-            if p == w:
-                continue
-            curve = lifted_param(LiftedCircle(Circle2(w, (p - w).norm2())), p)
-            rep = curve_crossings(curve, pp)
-            for fi, f in enumerate(pp.factors):
-                restricted = restrict_to_curve(f, curve)
-                if restricted.is_zero():
-                    continue
-                changes = numeric_crossing_count(restricted)
-                assert rep.per_factor[fi] == changes, (restricted.coeffs, rep.per_factor[fi], changes)
-            checked += 1
-        assert checked >= 15
+        pp = build_partition(rand_points(rng, 64), 2, 0.2, seed=14)
+        failure, _ = run_trials(crossing_trial(rng, pp, 5, False) for _ in range(20))
+        assert failure is None, failure
 
     def test_bezout_sanity_bound(self):
         rng = random.Random(15)
         pts = rand_points(rng, 128)
         pp = build_partition(pts, 3, 0.2, seed=16)
         for _ in range(20):
-            w = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
-            p = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
-            if p == w:
-                continue
-            curve = lifted_param(LiftedCircle(Circle2(w, (p - w).norm2())), p)
+            c, p = _rand_circle(rng, 5, 5)
+            curve = lifted_param(LiftedCircle(c), p)
             rep = curve_crossings(curve, pp)
             # lifted circles are degree-4 space curves
             assert rep.total <= 4 * pp.degree_budget
@@ -362,15 +337,10 @@ class TestMergedTotal:
         rng = random.Random(23)
         pts = rand_points(rng, 128)
         pp = build_partition(pts, 3, 0.2, seed=24)
-        curves = 0
-        while curves < 20:
-            w = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
-            p = Vec2(rand_rat(rng, 5, 5), rand_rat(rng, 5, 5))
-            if p == w:
-                continue
-            curve = lifted_param(LiftedCircle(Circle2(w, (p - w).norm2())), p)
+        for _ in range(20):
+            c, p = _rand_circle(rng, 5, 5)
+            curve = lifted_param(LiftedCircle(c), p)
             assert curve_crossings(curve, pp).total == crossings_by_product(curve, pp)
-            curves += 1
 
 
 def signs_by_eval(points, pp):

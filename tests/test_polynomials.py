@@ -69,6 +69,12 @@ class TestSturm:
         p = upoly(-1, 1) * upoly(-1, 1) * upoly(3, 1)
         assert sturm_count(p, None, None) == 2
 
+    @pytest.mark.parametrize("a, b, want", [(1, 2, 0), (-4, 1, 1), (0, 5, 1), (-3, 1, 0)])
+    def test_endpoint_at_repeated_root(self, a, b, want):
+        # every element of the chain of (t-1)^2 (t+3) vanishes at t = 1
+        p = upoly(-1, 1) * upoly(-1, 1) * upoly(3, 1)
+        assert sturm_count(p, a, b) == want
+
     def test_open_interval_excludes_endpoints(self):
         p = upoly(-1, 0, 1)  # roots -1, 1
         assert sturm_count(p, -1, 1) == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from incidencelab.exact import Vec2
+from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.tangency import (
     Circle2,
     DirectedPoint,
@@ -28,20 +29,6 @@ def dp(px, py, u):
 
 def circ(cx, cy, r2):
     return Circle2(Vec2(cx, cy), r2)
-
-
-def rand_rat(rng, mag=10, den=10):
-    d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
-
-
-def rand_circle_with_point(rng):
-    """Random circle built as r2 = |p - w|^2 from a rational point p."""
-    while True:
-        w = Vec2(rand_rat(rng), rand_rat(rng))
-        p = Vec2(rand_rat(rng), rand_rat(rng))
-        if p != w:
-            return Circle2(w, (p - w).norm2()), p
 
 
 class TestIsTangent:
@@ -95,8 +82,8 @@ class TestCommonCircle:
         rng = random.Random(11)
         seen_circle = 0
         for _ in range(2000):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-            b = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+            a = _rand_dp(rng, 10, 10)
+            b = _rand_dp(rng, 10, 10)
             if a == b:
                 continue
             v, s = eval_F(a, b)
@@ -112,7 +99,7 @@ class TestCommonCircle:
         rng = random.Random(12)
         hits = 0
         for _ in range(500):
-            c, base = rand_circle_with_point(rng)
+            c, base = _rand_circle(rng, 10, 10)
             a = tangent_point_sample(c, base, rng)
             b = tangent_point_sample(c, base, rng)
             if a == b:
@@ -131,7 +118,7 @@ class TestCommonCircle:
         # coexists with the one common_circle returns.
         rng = random.Random(13)
         for _ in range(300):
-            c, base = rand_circle_with_point(rng)
+            c, base = _rand_circle(rng, 10, 10)
             a = tangent_point_sample(c, base, rng)
             b = tangent_point_sample(c, base, rng)
             if a == b:
@@ -188,9 +175,9 @@ class TestOrthogonalTangentCircle:
         # exhaustive search over the solve never produces a second one
         rng = random.Random(18)
         for _ in range(300):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-            w = Vec2(rand_rat(rng), rand_rat(rng))
-            rho = rand_rat(rng)
+            a = _rand_dp(rng, 10, 10)
+            w = Vec2(rand_rat(rng, 10, 10), rand_rat(rng, 10, 10))
+            rho = rand_rat(rng, 10, 10)
             if w == a.p and rho <= 0:
                 continue
             c = orthogonal_tangent_circle(a, w, rho)
@@ -201,9 +188,9 @@ class TestOrthogonalTangentCircle:
         rng = random.Random(14)
         produced = 0
         for _ in range(500):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-            w = Vec2(rand_rat(rng), rand_rat(rng))
-            rho = rand_rat(rng)
+            a = _rand_dp(rng, 10, 10)
+            w = Vec2(rand_rat(rng, 10, 10), rand_rat(rng, 10, 10))
+            rho = rand_rat(rng, 10, 10)
             if w == a.p and rho <= 0:
                 continue
             c = orthogonal_tangent_circle(a, w, rho)
@@ -243,7 +230,7 @@ class TestCirclesTangentToLine:
     def test_count_never_exceeds_two_and_circles_check_out(self):
         rng = random.Random(15)
         for _ in range(500):
-            a = dp(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+            a = _rand_dp(rng, 10, 10)
             la, lb, lc = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)
             if (la, lb) == (0, 0):
                 continue
@@ -274,16 +261,16 @@ class TestTangentSampling:
 
     def test_rotation_stays_on_circle(self):
         rng = random.Random(16)
-        c, base = rand_circle_with_point(rng)
+        c, base = _rand_circle(rng, 10, 10)
         for _ in range(50):
-            t = rand_rat(rng)
+            t = rand_rat(rng, 10, 10)
             p = rotate_on_circle(c, base, t)
             assert (p - c.center).norm2() == c.r2
 
     def test_samples_are_tangent(self):
         rng = random.Random(17)
         for _ in range(100):
-            c, base = rand_circle_with_point(rng)
+            c, base = _rand_circle(rng, 10, 10)
             a = tangent_point_sample(c, base, rng)
             assert is_tangent(a, c)
 
