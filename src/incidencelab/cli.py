@@ -43,7 +43,6 @@ DEFAULTS = {
     "seed": 0,
     "coord_range": 100,
     "den_bound": 100,
-    "density": 0.05,
     "z_levels": 1,
     "mode": "exact",
     "threads": 1,
@@ -116,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", type=str, default=None)
         p.add_argument("--coord-range", dest="coord_range", type=int, default=None)
         p.add_argument("--den-bound", dest="den_bound", type=int, default=None)
-        p.add_argument("--density", type=float, default=None)
         p.add_argument("--z-levels", dest="z_levels", type=int, default=None)
         p.add_argument("--histograms", action="store_true", default=None)
 
@@ -190,8 +188,7 @@ def _merge_config(args: argparse.Namespace, stderr) -> Optional[dict]:
 def _genspec(cfg: dict) -> GenSpec:
     return GenSpec(
         kind=cfg["kind"], m=cfg["m"], n=cfg["n"], seed=cfg["seed"],
-        coord_range=cfg["coord_range"], den_bound=cfg["den_bound"],
-        density=cfg["density"], z_levels=cfg["z_levels"],
+        coord_range=cfg["coord_range"], den_bound=cfg["den_bound"], z_levels=cfg["z_levels"],
     )
 
 
@@ -306,6 +303,8 @@ def _scan_sizes(family: str, base: int, steps: int, z_levels: int) -> List[Tuple
 def cmd_scan(cfg, stdout, stderr) -> int:
     if cfg["base"] < 1:
         raise UsageError("--base must be at least 1")
+    if cfg["steps"] < 1:
+        raise UsageError("--steps must be at least 1")
     family = cfg["family"]
     kind = {"st-grid": "st-grid-horizontal-lines"}.get(family, family)
     _genspec(dict(cfg, kind=kind, m=0, n=0))  # rejects bad ranges and z-levels up front

@@ -89,17 +89,16 @@ class Kind:
 
 
 def _int_dp(dp: DirectedPoint) -> Tuple[int, int, int, int]:
-    d = math.lcm(dp.p.x.denominator, dp.p.y.denominator, dp.u.denominator)
-    return (int(dp.p.x * d), int(dp.p.y * d), int(dp.u * d), d)
+    return clear_denominators(dp.p.x, dp.p.y, dp.u)
 
 
 def _int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
-    e = math.lcm(c.center.x.denominator, c.center.y.denominator)
-    return (int(c.center.x * e), int(c.center.y * e), e, c.r2.numerator, c.r2.denominator)
+    return clear_denominators(c.center.x, c.center.y) + (c.r2.numerator, c.r2.denominator)
 
 
 def _int_point3(v) -> Tuple[int, int, int, int]:
-    return clear_denominators(v.as_vec3() if isinstance(v, DualPoint3) else v)
+    v = v.as_vec3() if isinstance(v, DualPoint3) else v
+    return clear_denominators(v.x, v.y, v.z)
 
 
 def _int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:

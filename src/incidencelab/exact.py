@@ -117,11 +117,10 @@ class Vec3:
 ZERO3 = Vec3(0, 0, 0)
 
 
-def clear_denominators(v: Vec3) -> Tuple[int, int, int, int]:
-    """(X, Y, Z, D) with v = (X, Y, Z) / D and D the lcm of the denominators."""
-    d = lcm(v.x.denominator, v.y.denominator, v.z.denominator)
-    return (v.x.numerator * (d // v.x.denominator), v.y.numerator * (d // v.y.denominator),
-            v.z.numerator * (d // v.z.denominator), d)
+def clear_denominators(*xs: RatLike) -> Tuple[int, ...]:
+    """(*N, D) with xs = N / D and D the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in xs))
+    return (*(x.numerator * (d // x.denominator) for x in xs), d)
 
 
 def rand_tan_half(rng) -> Fraction:
@@ -150,10 +149,9 @@ def primitive_int_vec3(v: Vec3) -> Vec3:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
     if v.is_zero():
         raise ValueError("zero vector has no primitive form")
-    den = lcm(v.x.denominator, v.y.denominator, v.z.denominator)
-    nx, ny, nz = (v.x * den, v.y * den, v.z * den)
-    g = gcd(int(nx), int(ny), int(nz))
-    nx, ny, nz = int(nx) // g, int(ny) // g, int(nz) // g
+    nx, ny, nz, _ = clear_denominators(v.x, v.y, v.z)
+    g = gcd(nx, ny, nz)
+    nx, ny, nz = nx // g, ny // g, nz // g
     for c in (nx, ny, nz):
         if c != 0:
             if c < 0:

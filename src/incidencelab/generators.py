@@ -17,7 +17,6 @@ from typing import List, Tuple
 from .anchored import (
     AnchoredCircle,
     anchored_incident,
-    anchored_pair_intersections,
     anchored_point_sample,
     h_p_sample,
     sphere_point,
@@ -42,7 +41,6 @@ class GenSpec:
     seed: int = 0
     coord_range: int = 100
     den_bound: int = 100
-    density: float = 0.05  # anchored-planted target pair fraction
     z_levels: int = 1      # st-grid plane replication
 
     def __post_init__(self):
@@ -63,7 +61,6 @@ class GenSpec:
             "seed": self.seed,
             "coord_range": self.coord_range,
             "den_bound": self.den_bound,
-            "density": self.density,
             "z_levels": self.z_levels,
         }
 
@@ -247,19 +244,18 @@ def _gen_anchored_random(spec: GenSpec, rng) -> Instance:
 
 
 def _gen_anchored_planted(spec: GenSpec, rng) -> Instance:
-    """Pencil-of-circles planting: one hub point on every circle, the other
-    points placed at pairwise second intersections (degree 2) or sampled
-    fresh on a circle (degree 1).
+    """One hub point on every circle, then degree-1 fill: fresh samples on
+    the circles, round-robin.  With m >= 1, planted = m + n - 1 exactly.
 
-    Distinct anchored circles meet in at most two points, so planted pair
-    counts are capped near n + 2m; the density target is honored up to that
-    geometric ceiling and the returned count is the certified truth.
+    Every circle is anchored (it passes through the origin) and comes from
+    h_p_sample(hub, ...), so it passes through the hub as well.  Two distinct
+    anchored circles meet in at most two points, here the origin and the hub,
+    so no other point can lie on two circles and no degree-2 point exists.
     """
     if spec.n == 0 and spec.m > 0:
         raise InfeasibleSpecError("anchored-planted needs at least one circle")
     if spec.m == 0:
         return Instance("anchored", [], [rand_anchored_circle(rng) for _ in range(spec.n)])
-    target = round(spec.density * spec.m * spec.n)
     base = rand_anchored_circle(rng)
     hub = anchored_point_sample(base, rng)
     while hub.norm2() >= 4:
@@ -279,24 +275,7 @@ def _gen_anchored_planted(spec: GenSpec, rng) -> Instance:
         raise InfeasibleSpecError("could not build enough distinct circles")
     points: List[Vec3] = [hub]
     pairs: List[Tuple[int, int]] = [(0, j) for j in range(spec.n)]
-    want_degree2 = max(0, min(spec.m - 1, target - (spec.n + spec.m - 1)))
-    # degree-2 points: second intersections of circle pairs
-    pair_iter = ((a, b) for a in range(len(curves)) for b in range(a + 1, len(curves)))
     existing = {hub}
-    for a, b in pair_iter:
-        if len(points) - 1 >= want_degree2:
-            break
-        pts = anchored_pair_intersections(curves[a], curves[b])
-        second = [x for x in pts if not x.is_zero() and x != hub]
-        if not second or second[0] in existing:
-            continue
-        x = second[0]
-        idx = len(points)
-        points.append(x)
-        existing.add(x)
-        pairs.append((idx, a))
-        pairs.append((idx, b))
-    # degree-1 fill: fresh samples on circles, round-robin
     j = 0
     while len(points) < spec.m:
         x = anchored_point_sample(curves[j % spec.n], rng)

@@ -142,14 +142,14 @@ def _signs(cleared: Sequence[Tuple[int, int, int, int]], f: MPoly) -> List[int]:
     With f scaled to integer coefficients C, f(p) has the sign of
     sum C X^i Y^j Z^k D^(deg - i - j - k).
     """
-    lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+    *coefs, _ = clear_denominators(*f.terms.values())
     axes = [XYZ.index(v) for v in f.vars]
     terms = []
-    for e, c in f.terms.items():
+    for e, c in zip(f.terms, coefs):
         ex = [0, 0, 0]
         for axis, k in zip(axes, e):
             ex[axis] = k
-        terms.append((*ex, c.numerator * (lcm // c.denominator)))
+        terms.append((*ex, c))
     deg = f.total_degree()
     out = []
     for X, Y, Z, D in cleared:
@@ -315,7 +315,7 @@ def build_partition(
     signs_so_far: List[List[int]] = [[] for _ in range(m)]
     best_eps_seen = float("inf")
 
-    cleared = [clear_denominators(p) for p in points]
+    cleared = [clear_denominators(p.x, p.y, p.z) for p in points]
     lift_degree = None
     for level in range(1, levels + 1):
         d = least_lift_degree(len(class_map))
@@ -367,7 +367,7 @@ def build_partition(
 
 def classify(points: Sequence[Vec3], pp: PartitionPoly) -> CellAssignment:
     """Exact sign evaluation of every factor at every point."""
-    cleared = [clear_denominators(p) for p in points]
+    cleared = [clear_denominators(p.x, p.y, p.z) for p in points]
     columns = [_signs(cleared, f) for f in pp.factors]
     sign_vectors = [tuple(col[i] for col in columns) for i in range(len(points))]
     on_zero = [0 in sv for sv in sign_vectors]

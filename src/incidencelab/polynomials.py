@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import rat, rat_to_str
+from .exact import clear_denominators, rat, rat_to_str
 
 Coef = Union[Fraction, int]
 
@@ -144,13 +144,8 @@ class UniPoly:
         """Divide out the content (positive rational), preserving signs."""
         if self.is_zero():
             return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        *ints, _ = clear_denominators(*self.coeffs)
+        g = math.gcd(*ints)
         return UniPoly([Fraction(v, g) for v in ints])
 
     def to_json(self) -> list:

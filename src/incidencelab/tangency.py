@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, rand_tan_half, rat, rat_from_str, rat_to_str, solve2
+from .exact import RatLike, Vec2, clear_denominators, rand_tan_half, rat, rat_from_str, rat_to_str, solve2
 
 
 class VerticalTangent(Exception):
@@ -69,11 +69,9 @@ class Line2:
     c: int
 
     def __init__(self, a: RatLike, b: RatLike, c: RatLike):
-        a, b, c = rat(a), rat(b), rat(c)
         if a == 0 and b == 0:
             raise ValueError("degenerate line")
-        den = math.lcm(a.denominator, b.denominator, c.denominator)
-        na, nb, nc = int(a * den), int(b * den), int(c * den)
+        na, nb, nc, _ = clear_denominators(a, b, c)
         g = math.gcd(na, nb, nc)
         na, nb, nc = na // g, nb // g, nc // g
         if na < 0 or (na == 0 and nb < 0):

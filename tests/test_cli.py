@@ -97,7 +97,9 @@ class TestBadInput:
         (["scan", "--family", "st-grid", "--z-levels", "0", "--steps", "1"], cli.EXIT_INFEASIBLE),
         (["count", "--kind", "st-grid-horizontal-lines", "--m", "16", "--n", "16", "--z-levels", "0"],
          cli.EXIT_INFEASIBLE),
-    ], ids=["scan-base-0", "scan-z-levels-0", "count-z-levels-0"])
+        (["scan", "--family", "pencil", "--steps", "0"], cli.EXIT_USAGE),
+        (["scan", "--family", "pencil", "--steps", "-2"], cli.EXIT_USAGE),
+    ], ids=["scan-base-0", "scan-z-levels-0", "count-z-levels-0", "steps-0", "steps-negative"])
     def test_sizes_below_one(self, argv, code):
         assert_one_line_exit(argv, code)
 
@@ -166,7 +168,7 @@ class TestConfigPrecedence:
     def test_config_types_accepted(self, tmp_path):
         # an int in a float field, null in a path field, a flag's own choice
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 5, "density": 1, "out": None,
+        cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 5, "epsilon": 1, "out": None,
                                    "mode": "prefilter", "format": "json", "histograms": True}))
         code, out, _ = run(["count", "--config", str(cfg)])
         assert code == cli.EXIT_OK

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -108,12 +110,18 @@ class TestAnchored:
             assert 0 < p.norm2() <= 4
 
     def test_planted_pairs_pass_predicate(self):
-        inst, planted = gen(GenSpec("anchored-planted", 50, 40, seed=9, density=0.05))
+        inst, planted = gen(GenSpec("anchored-planted", 50, 40, seed=9))
         assert planted == len(inst.planted_pairs)
         for i, j in inst.planted_pairs:
             assert anchored_incident(inst.points[i], inst.curves[j])
-        # hub carries one pair per circle, so at least m + n - 1 pairs overall
-        assert planted >= 50 + 40 - 1
+        # the hub lies on all 40 circles, every other point on exactly one
+        assert planted == 50 + 40 - 1
+        report = count(inst.points, inst.curves)
+        assert report.total == planted
+        assert report.per_point == [40] + [1] * 49
+        payload = json.dumps(inst.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "f76264b9834fbc82c4beffe221a37f35392f5b83bea0dc058e79565e84e4c73c")
 
     def test_planted_counted_by_engine(self):
         inst, planted = gen(GenSpec("anchored-planted", 30, 20, seed=10))
