@@ -2,7 +2,8 @@
 verify.
 
 Configuration is a single JSON document; command-line flags override config
-fields (defaults < config < flags).  All outputs are deterministic given the
+fields (defaults < config < flags).  Each subcommand takes a flag only for
+the fields it reads (the OPTIONS table).  All outputs are deterministic given the
 seed, except the wall-clock seconds fields, which golden comparisons must
 ignore.  Exit codes: 0 ok, 1 usage, 2 verification failure, 3 infeasible
 spec.
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .dual3 import circle_dual, dp_dual_line, rich_planes, rich_planes_to_json
 from .engine import CSV_HEADER, bound_ratio, count, exponent_fit, t_rich_points
@@ -34,31 +35,48 @@ class UsageError(Exception):
 
 
 SCAN_FAMILIES = ("pencil", "st-grid", "random-tangency", "circle-sampled", "anchored-planted")
-CHOICES = {"mode": ("exact", "prefilter"), "format": ("json", "csv"), "family": SCAN_FAMILIES}
+INSTANCE = ("generate", "count", "rich", "partition", "dual")  # build or load one instance
+GENERATOR = INSTANCE + ("scan",)  # may draw instances; write a report
 
-DEFAULTS = {
-    "kind": "random-tangency",
-    "m": 100,
-    "n": 100,
-    "seed": 0,
-    "coord_range": 100,
-    "den_bound": 100,
-    "z_levels": 1,
-    "mode": "exact",
-    "threads": 1,
-    "format": "json",
-    "out": None,
-    "input": None,
-    "t": 2,
-    "q": 2,
-    "levels": 2,
-    "epsilon": 0.1,
-    "family": "pencil",
-    "base": 64,
-    "steps": 4,
-    "histograms": False,
-    "quick": False,
+
+@dataclass(frozen=True)
+class Option:
+    """A config field: its default, its choices or least value, and the
+    subcommands that read it, which alone take it as a flag."""
+
+    default: Any
+    commands: Tuple[str, ...]
+    choices: Tuple[str, ...] = ()
+    least: Optional[int] = None
+
+
+OPTIONS = {
+    "kind": Option("random-tangency", INSTANCE),
+    "m": Option(100, INSTANCE),
+    "n": Option(100, INSTANCE),
+    "input": Option(None, INSTANCE),
+    "seed": Option(0, GENERATOR + ("verify",)),
+    "coord_range": Option(100, GENERATOR),
+    "den_bound": Option(100, GENERATOR),
+    "z_levels": Option(1, GENERATOR),
+    "out": Option(None, GENERATOR),
+    "mode": Option("exact", ("count", "rich", "scan"), choices=("exact", "prefilter")),
+    "threads": Option(1, ("count", "rich", "scan"), least=1),
+    "format": Option("json", ("count", "partition", "scan"), choices=("json", "csv")),
+    "histograms": Option(False, ("count",)),
+    "t": Option(2, ("rich",), least=1),
+    "q": Option(2, ("dual",)),
+    "levels": Option(2, ("partition",)),
+    "epsilon": Option(0.1, ("partition",)),
+    "family": Option("pencil", ("scan",), choices=SCAN_FAMILIES),
+    "base": Option(64, ("scan",), least=1),
+    "steps": Option(4, ("scan",), least=1),
+    "quick": Option(False, ("verify",)),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass
@@ -98,90 +116,72 @@ class ScanResult:
         return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print a usage block and exit 2
+        raise UsageError(f"{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="incidencelab")
+    parser = _Parser(prog="incidencelab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--format", choices=CHOICES["format"], default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--mode", choices=CHOICES["mode"], default=None)
-        p.add_argument("--kind", type=str, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--input", type=str, default=None)
-        p.add_argument("--coord-range", dest="coord_range", type=int, default=None)
-        p.add_argument("--den-bound", dest="den_bound", type=int, default=None)
-        p.add_argument("--z-levels", dest="z_levels", type=int, default=None)
-        p.add_argument("--histograms", action="store_true", default=None)
-
-    for name in ("generate", "count", "rich", "partition", "dual", "scan", "verify"):
-        p = sub.add_parser(name)
-        common(p)
-        if name == "rich":
-            p.add_argument("--t", type=int, default=None)
-        if name == "dual":
-            p.add_argument("--q", type=int, default=None)
-        if name == "partition":
-            p.add_argument("--levels", type=int, default=None)
-            p.add_argument("--epsilon", type=float, default=None)
-        if name == "scan":
-            p.add_argument("--family", choices=CHOICES["family"], default=None)
-            p.add_argument("--base", type=int, default=None)
-            p.add_argument("--steps", type=int, default=None)
-        if name == "verify":
-            p.add_argument("--quick", action="store_true", default=None)
+    for name in COMMANDS:
+        p = sub.add_parser(name, allow_abbrev=False)  # scan --m must not read as --mode
+        p.add_argument("--config")
+        for key, opt in OPTIONS.items():
+            if name not in opt.commands:
+                continue
+            if isinstance(opt.default, bool):
+                p.add_argument(_flag(key), dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(_flag(key), dest=key, default=None, choices=opt.choices or None,
+                               type=str if opt.default is None else type(opt.default))
     return parser
 
 
 def _config_error(key: str, val) -> Optional[str]:
     """Why a config value does not fit its field (the type of its default,
-    a float field also taking an int; the flag's choices), or None."""
-    default = DEFAULTS[key]
+    a float field also taking an int; the field's choices), or None."""
+    default, choices = OPTIONS[key].default, OPTIONS[key].choices
     if default is None:  # out, input: a path or null
         ok, want = val is None or isinstance(val, str), "a string or null"
     elif isinstance(default, float):
         ok, want = isinstance(val, (int, float)) and not isinstance(val, bool), "a number"
     else:
         ok, want = type(val) is type(default), type(default).__name__
-    if ok and key in CHOICES and val not in CHOICES[key]:
-        ok, want = False, f"one of {', '.join(CHOICES[key])}"
+    if ok and choices and val not in choices:
+        ok, want = False, f"one of {', '.join(choices)}"
     return None if ok else f"expected {want}, got {json.dumps(val)}"
 
 
-def _merge_config(args: argparse.Namespace, stderr) -> Optional[dict]:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Defaults < config document < flags.  Every config field is type-checked;
+    least values are enforced on the fields this subcommand reads."""
+    cfg = {key: opt.default for key, opt in OPTIONS.items()}
+    if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as exc:
-            print(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                  file=stderr)
-            return None
+            raise UsageError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
         except OSError as exc:
-            print(f"cannot read config: {exc}", file=stderr)
-            return None
+            raise UsageError(f"cannot read config: {exc}") from None
         if not isinstance(loaded, dict):
-            print("config must be a JSON object", file=stderr)
-            return None
+            raise UsageError("config must be a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
-            print(f"unknown config fields: {sorted(unknown)}", file=stderr)
-            return None
+            raise UsageError(f"unknown config fields: {sorted(unknown)}")
         for key, val in loaded.items():
             problem = _config_error(key, val)
             if problem:
-                print(f"invalid config field {key}: {problem}", file=stderr)
-                return None
+                raise UsageError(f"invalid config field {key}: {problem}")
         cfg.update(loaded)
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, opt in OPTIONS.items():
+        if opt.least is not None and args.command in opt.commands and cfg[key] < opt.least:
+            raise UsageError(f"{_flag(key)} must be at least {opt.least}")
     return cfg
 
 
@@ -234,8 +234,6 @@ def cmd_count(cfg, stdout, stderr) -> int:
 
 
 def cmd_rich(cfg, stdout, stderr) -> int:
-    if cfg["t"] < 1:
-        raise UsageError("--t must be at least 1")
     inst, _ = _load_instance(cfg)
     rich = t_rich_points(inst.points, inst.curves, cfg["t"],
                          mode=cfg["mode"], threads=cfg["threads"])
@@ -301,10 +299,6 @@ def _scan_sizes(family: str, base: int, steps: int, z_levels: int) -> List[Tuple
 
 
 def cmd_scan(cfg, stdout, stderr) -> int:
-    if cfg["base"] < 1:
-        raise UsageError("--base must be at least 1")
-    if cfg["steps"] < 1:
-        raise UsageError("--steps must be at least 1")
     family = cfg["family"]
     kind = {"st-grid": "st-grid-horizontal-lines"}.get(family, family)
     _genspec(dict(cfg, kind=kind, m=0, n=0))  # rejects bad ranges and z-levels up front
@@ -346,19 +340,11 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors and --help
+        args = _build_parser().parse_args(argv)
+        return COMMANDS[args.command](_merge_config(args), stdout, stderr)
+    except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    cfg = _merge_config(args, stderr)
-    if cfg is None:
-        return EXIT_USAGE
-    if cfg["threads"] < 1:
-        print("--threads must be at least 1", file=stderr)
-        return EXIT_USAGE
-    try:
-        return COMMANDS[args.command](cfg, stdout, stderr)
     except UsageError as exc:
         print(exc, file=stderr)
         return EXIT_USAGE

@@ -17,30 +17,9 @@ from .exact import RatLike, Vec2, Vec3, primitive_int_vec3, rat, rat_from_str, r
 from .tangency import Circle2, DirectedPoint, Line2
 
 
-@dataclass(frozen=True)
-class DualPoint3:
-    xi: Fraction
-    eta: Fraction
-    zeta: Fraction
-
-    def __init__(self, xi: RatLike, eta: RatLike, zeta: RatLike):
-        object.__setattr__(self, "xi", rat(xi))
-        object.__setattr__(self, "eta", rat(eta))
-        object.__setattr__(self, "zeta", rat(zeta))
-
-    def as_vec3(self) -> Vec3:
-        return Vec3(self.xi, self.eta, self.zeta)
-
-    def to_json(self) -> list:
-        return [rat_to_str(self.xi), rat_to_str(self.eta), rat_to_str(self.zeta)]
-
-    @staticmethod
-    def from_json(obj: list) -> "DualPoint3":
-        return DualPoint3(rat_from_str(obj[0]), rat_from_str(obj[1]), rat_from_str(obj[2]))
-
-
-def circle_dual(c: Circle2) -> DualPoint3:
-    return DualPoint3(c.center.x, c.center.y, c.r2 - c.center.norm2())
+def circle_dual(c: Circle2) -> Vec3:
+    """The dual point (xi, eta, zeta) of c."""
+    return Vec3(c.center.x, c.center.y, c.r2 - c.center.norm2())
 
 
 @dataclass(frozen=True)
@@ -90,8 +69,8 @@ class PowerPlane:
     def rho(self) -> Fraction:
         return self.d + self.a * self.a / 4 + self.b * self.b / 4
 
-    def eval_at(self, pt: DualPoint3) -> Fraction:
-        return self.a * pt.xi + self.b * pt.eta + pt.zeta + self.d
+    def eval_at(self, pt: Vec3) -> Fraction:
+        return self.a * pt.x + self.b * pt.y + pt.z + self.d
 
     def to_json(self) -> dict:
         return {"a": rat_to_str(self.a), "b": rat_to_str(self.b), "d": rat_to_str(self.d)}
@@ -141,9 +120,9 @@ class DualLine3:
     def as_line3(self) -> Line3:
         return Line3(self.point0(), self.direction())
 
-    def contains(self, pt: DualPoint3) -> bool:
+    def contains(self, pt: Vec3) -> bool:
         on_nv = self.nonvertical_plane().eval_at(pt) == 0
-        on_v = (pt.xi - self.p.x) + self.u * (pt.eta - self.p.y) == 0
+        on_v = (pt.x - self.p.x) + self.u * (pt.y - self.p.y) == 0
         return on_nv and on_v
 
     def to_json(self) -> dict:

@@ -30,7 +30,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .anchored import AnchoredCircle
-from .dual3 import DualLine3, DualPoint3, Line3
+from .dual3 import Line3
 from .exact import Vec3, clear_denominators
 from .tangency import Circle2, DirectedPoint
 
@@ -73,15 +73,15 @@ CSV_HEADER = "m,n,total,mode,seconds"
 
 @dataclass(frozen=True)
 class Kind:
-    """One instance kind; the first point and curve types serialize."""
+    """One instance kind: the point and curve types it counts, which also
+    serialize its instances."""
 
     name: str
-    point_types: Tuple[type, ...]
-    curve_types: Tuple[type, ...]
+    point_type: type
+    curve_type: type
     int_point: Callable[[Any], tuple]  # object -> integer-cleared tuple
     int_curve: Callable[[Any], tuple]
     pair: Callable[[tuple, tuple], bool]  # exact predicate on cleared tuples
-    float_point: Callable[[tuple], tuple]  # cleared tuple -> float row
     float_curve: Callable[[tuple], tuple]  # center or point, then normal or direction
     # tile of point rows x tile of curve rows -> arrays that vanish on incidences
     residuals: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]
@@ -96,8 +96,7 @@ def _int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
     return clear_denominators(c.center.x, c.center.y) + (c.r2.numerator, c.r2.denominator)
 
 
-def _int_point3(v) -> Tuple[int, int, int, int]:
-    v = v.as_vec3() if isinstance(v, DualPoint3) else v
+def _int_point3(v: Vec3) -> Tuple[int, int, int, int]:
     return clear_denominators(v.x, v.y, v.z)
 
 
@@ -105,8 +104,7 @@ def _int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:
     return (int(g.n.x), int(g.n.y), int(g.n.z)) + _int_point3(g.c)
 
 
-def _int_line3(raw) -> Tuple[int, ...]:
-    line = raw.as_line3() if isinstance(raw, DualLine3) else raw
+def _int_line3(line: Line3) -> Tuple[int, ...]:
     v = line.direction
     return _int_point3(line.point) + (int(v.x), int(v.y), int(v.z))
 
@@ -147,7 +145,7 @@ def _pair_lines3(P, C) -> bool:
     )
 
 
-def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d)
+def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d); every point row
     return (t[0] / t[3], t[1] / t[3], t[2] / t[3])
 
 
@@ -169,32 +167,33 @@ def _res_lines3(p: np.ndarray, c: np.ndarray) -> tuple:
 
 
 KINDS: Tuple[Kind, ...] = (
-    Kind("tangency", (DirectedPoint,), (Circle2,), _int_dp, _int_circle, _pair_tangency,
-         _float3, lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _res_tangency,
+    Kind("tangency", DirectedPoint, Circle2, _int_dp, _int_circle, _pair_tangency,
+         lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _res_tangency,
          lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2),
-    Kind("anchored", (Vec3, DualPoint3), (AnchoredCircle,), _int_point3, _int_anchored,
-         _pair_anchored, _float3, lambda C: _float3(C[3:]) + tuple(map(float, C[:3])),
-         _res_anchored, lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
-    Kind("lines3", (Vec3, DualPoint3), (Line3, DualLine3), _int_point3, _int_line3,
-         _pair_lines3, _float3, lambda C: _float3(C[:4]) + tuple(map(float, C[4:])),
-         _res_lines3, lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3),
+    Kind("anchored", Vec3, AnchoredCircle, _int_point3, _int_anchored, _pair_anchored,
+         lambda C: _float3(C[3:]) + tuple(map(float, C[:3])), _res_anchored,
+         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
+    Kind("lines3", Vec3, Line3, _int_point3, _int_line3, _pair_lines3,
+         lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _res_lines3,
+         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3),
 )
 
 
 def _kind_of(points: Sequence, curves: Sequence) -> Kind:
     pt_type, cv_type = type(points[0]), type(curves[0])
-    same = all(type(p) is pt_type for p in points) and all(type(c) is cv_type for c in curves)
+    if not (all(type(p) is pt_type for p in points) and all(type(c) is cv_type for c in curves)):
+        raise ValueError("mixed instance kinds")
     for kind in KINDS:
-        if same and issubclass(pt_type, kind.point_types) and issubclass(cv_type, kind.curve_types):
+        if issubclass(pt_type, kind.point_type) and issubclass(cv_type, kind.curve_type):
             return kind
-    raise ValueError("mixed instance kinds")
+    raise ValueError(f"no instance kind counts {pt_type.__name__} points on {cv_type.__name__} curves")
 
 
 def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
     """Candidate (i, j) index arrays per tile, in tile order, and tau; None
     when the float rows cannot certify a screen (see the module notes)."""
     try:
-        P = np.array([kind.float_point(p) for p in ipts])
+        P = np.array([_float3(p) for p in ipts])
         C = np.array([kind.float_curve(c) for c in icvs])
     except OverflowError:
         return None

@@ -90,8 +90,8 @@ class Instance:
         kind = next((k for k in ENGINE_KINDS if k.name == obj["kind"]), None)
         if kind is None:
             raise ValueError(f"unknown instance kind {obj['kind']}")
-        pts = [kind.point_types[0].from_json(o) for o in obj["points"]]
-        cvs = [kind.curve_types[0].from_json(o) for o in obj["curves"]]
+        pts = [kind.point_type.from_json(o) for o in obj["points"]]
+        cvs = [kind.curve_type.from_json(o) for o in obj["curves"]]
         pairs = [tuple(t) for t in obj.get("planted_pairs", [])]
         return Instance(kind.name, pts, cvs, pairs)
 

@@ -497,7 +497,7 @@ def _line_in_plane_char(rng, scale) -> CheckResult:
             p0, dv = line.point0(), line.direction()
             for k in (-2, 0, 3):
                 pt = p0 + dv.scale(k)
-                if pp.eval_at(dual3.DualPoint3(pt.x, pt.y, pt.z)) != 0:
+                if pp.eval_at(pt) != 0:
                     return False, "contained line leaves the plane"
     return True, "direct containment matches the power-circle characterization"
 

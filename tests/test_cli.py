@@ -14,12 +14,15 @@ def run(argv):
 
 class TestExitCodes:
     def test_usage_error(self):
-        code, _, _ = run(["count", "--mode", "warp"])
-        assert code == cli.EXIT_USAGE
+        assert_one_line_exit(["count", "--mode", "warp"], cli.EXIT_USAGE)
 
     def test_unknown_command(self):
-        code, _, _ = run(["frobnicate"])
-        assert code == cli.EXIT_USAGE
+        assert_one_line_exit(["frobnicate"], cli.EXIT_USAGE)
+
+    def test_help(self, capsys):
+        code, _, err = run(["count", "--help"])
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert "--histograms" in capsys.readouterr().out
 
     def test_infeasible_spec(self):
         code, _, err = run(["count", "--kind", "pencil", "--m", "3", "--n", "5"])
@@ -117,6 +120,52 @@ class TestBadInput:
     def test_nonpositive_threads(self, threads):
         assert_one_line_exit(["count", "--kind", "pencil", "--m", "1", "--n", "3",
                               "--threads", threads], cli.EXIT_USAGE)
+
+
+# A value for each flag that some subcommand does not take.
+FLAG_ARGS = {
+    "--threads": ["2"], "--format": ["csv"], "--out": ["out.json"], "--mode": ["prefilter"],
+    "--kind": ["pencil"], "--m": ["1"], "--n": ["3"], "--input": ["missing.json"],
+    "--coord-range": ["9"], "--den-bound": ["9"], "--z-levels": ["2"], "--histograms": [],
+}
+# A cheap run of each subcommand, before the flag it does not take.
+BASE_ARGS = {
+    "generate": ["--kind", "pencil", "--m", "1", "--n", "3"],
+    "rich": ["--kind", "pencil", "--m", "1", "--n", "3"],
+    "partition": ["--kind", "random-tangency", "--m", "16", "--n", "0"],
+    "dual": ["--kind", "pencil", "--m", "1", "--n", "3"],
+    "scan": ["--family", "pencil", "--base", "4", "--steps", "3"],
+    "verify": ["--quick"],
+}
+NOT_READ = [
+    *(("generate", f) for f in ("--threads", "--format", "--mode", "--histograms")),
+    *(("rich", f) for f in ("--format", "--histograms")),
+    *(("partition", f) for f in ("--threads", "--mode", "--histograms")),
+    *(("dual", f) for f in ("--threads", "--format", "--mode", "--histograms")),
+    *(("scan", f) for f in ("--kind", "--m", "--n", "--input", "--histograms")),
+    *(("verify", f) for f in ("--threads", "--format", "--out", "--mode", "--kind", "--m", "--n",
+                              "--input", "--coord-range", "--den-bound", "--z-levels", "--histograms")),
+]
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command, flag", NOT_READ, ids=[f"{c}{f}" for c, f in NOT_READ])
+    def test_flag_not_read_is_rejected(self, tmp_path, command, flag):
+        values = [str(tmp_path / v) if v.endswith(".json") else v for v in FLAG_ARGS[flag]]
+        argv = [command, *BASE_ARGS[command], flag, *values]
+        assert_one_line_exit(argv, cli.EXIT_USAGE)
+        _, _, err = run(argv)
+        assert err.startswith(f"incidencelab: error: unrecognized arguments: {flag}")
+
+    def test_config_field_not_read_is_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 3, "threads": 0, "t": 0}))
+        code, out, _ = run(["generate", "--config", str(cfg)])
+        assert code == cli.EXIT_OK
+        assert len(json.loads(out)["curves"]) == 3
+        assert_one_line_exit(["count", "--config", str(cfg)], cli.EXIT_USAGE)
+        _, _, err = run(["rich", "--config", str(cfg), "--threads", "1"])
+        assert err == "--t must be at least 1\n"
 
 
 class TestGenerateAndCount:

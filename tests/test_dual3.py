@@ -7,7 +7,6 @@ import pytest
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.dual3 import (
-    DualPoint3,
     Line3,
     PowerPlane,
     _plane_through_pair,
@@ -33,9 +32,9 @@ def circ(cx, cy, r2):
 
 class TestCircleDual:
     def test_examples(self):
-        assert circle_dual(circ(0, 0, 1)) == DualPoint3(0, 0, 1)
-        assert circle_dual(circ(0, 5, 25)) == DualPoint3(0, 5, 0)
-        assert circle_dual(circ(3, 4, 25)) == DualPoint3(3, 4, 0)
+        assert circle_dual(circ(0, 0, 1)) == Vec3(0, 0, 1)
+        assert circle_dual(circ(0, 5, 25)) == Vec3(0, 5, 0)
+        assert circle_dual(circ(3, 4, 25)) == Vec3(3, 4, 0)
 
 
 class TestDualLine:
@@ -144,7 +143,7 @@ class TestLineInPlane:
             dv = line.direction()
             for k in (-3, 0, 2):
                 pt = p0 + dv.scale(k)
-                assert pp.eval_at(DualPoint3(pt.x, pt.y, pt.z)) == 0
+                assert pp.eval_at(pt) == 0
         assert hits == 500
 
 
@@ -326,7 +325,7 @@ class TestSpanningPairs:
                 line = dp_dual_line(c)
                 for k in (-2, 0, 3):
                     pt = line.point0() + line.direction().scale(k)
-                    assert pp.eval_at(DualPoint3(pt.x, pt.y, pt.z)) == 0
+                    assert pp.eval_at(pt) == 0
 
 
 def test_line3_canonicalization():

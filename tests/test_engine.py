@@ -3,7 +3,7 @@ import random
 import pytest
 
 from incidencelab.anchored import AnchoredCircle
-from incidencelab.dual3 import DualLine3, DualPoint3, Line3, circle_dual, dp_dual_line
+from incidencelab.dual3 import Line3, circle_dual, dp_dual_line
 from incidencelab.engine import (
     CSV_HEADER,
     IncidenceReport,
@@ -83,10 +83,12 @@ class TestCount:
     def test_mixed_kinds_rejected(self):
         inst, _ = gen(GenSpec("random-tangency", 3, 3, seed=9))
         anch, _ = gen(GenSpec("anchored-random", 3, 3, seed=9))
-        with pytest.raises(ValueError, match="mixed instance kinds"):
+        with pytest.raises(ValueError, match="no instance kind counts DirectedPoint points on AnchoredCircle curves"):
             count(inst.points, anch.curves)
         with pytest.raises(ValueError, match="mixed instance kinds"):
             count(inst.points + anch.points, inst.curves)
+        with pytest.raises(ValueError, match="no instance kind counts Vec3 points on DualLine3 curves"):
+            count(anch.points, [dp_dual_line(p) for p in inst.points])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -150,11 +152,9 @@ class TestFits:
 def test_dual_lines_as_curves():
     # dual points against dual lines count the same incidences as the
     # primal tangencies they encode
-    from incidencelab.dual3 import circle_dual, dp_dual_line
-
     inst, planted = gen(GenSpec("circle-sampled", 30, 10, seed=13))
-    duals = [circle_dual(c).as_vec3() for c in inst.curves]
-    lines = [dp_dual_line(p) for p in inst.points]
+    duals = [circle_dual(c) for c in inst.curves]
+    lines = [dp_dual_line(p).as_line3() for p in inst.points]
     primal = count(inst.points, inst.curves)
     dual = count(duals, lines)
     assert dual.total == primal.total
@@ -169,37 +169,24 @@ def test_report_csv_shape():
     assert row[:4] == ["2", "3", "4", "exact"]
 
 
-def _point_as(point_type, v):
-    v = v.as_vec3() if isinstance(v, DualPoint3) else v
-    return v if point_type is Vec3 else DualPoint3(v.x, v.y, v.z)
-
-
-def _typed_instance(point_type, curve_type):
-    """A small instance with incidences whose objects have exactly these types."""
-    if curve_type is Circle2:
-        inst, _ = gen(GenSpec("circle-sampled", 30, 10, seed=13))
-        return inst.points, inst.curves
+def _typed_instance(curve_type):
+    """A small instance with incidences whose curves have this type."""
     if curve_type is AnchoredCircle:
         inst, _ = gen(GenSpec("anchored-planted", 30, 10, seed=6))
-        return [_point_as(point_type, p) for p in inst.points], inst.curves
+        return inst.points, inst.curves
     inst, _ = gen(GenSpec("circle-sampled", 30, 10, seed=13))
-    lines = [dp_dual_line(p) for p in inst.points]
-    if curve_type is Line3:
-        lines = [line.as_line3() for line in lines]
-    return [_point_as(point_type, circle_dual(c)) for c in inst.curves], lines
+    if curve_type is Circle2:
+        return inst.points, inst.curves
+    return [circle_dual(c) for c in inst.curves], [dp_dual_line(p).as_line3() for p in inst.points]
 
 
 @pytest.mark.parametrize("point_type, curve_type, kind", [
     (DirectedPoint, Circle2, "tangency"),
     (Vec3, AnchoredCircle, "anchored"),
-    (DualPoint3, AnchoredCircle, "anchored"),
     (Vec3, Line3, "lines3"),
-    (Vec3, DualLine3, "lines3"),
-    (DualPoint3, Line3, "lines3"),
-    (DualPoint3, DualLine3, "lines3"),
 ])
 def test_every_accepted_type_pair(point_type, curve_type, kind):
-    points, curves = _typed_instance(point_type, curve_type)
+    points, curves = _typed_instance(curve_type)
     assert {type(p) for p in points} == {point_type}
     assert {type(c) for c in curves} == {curve_type}
     exact = count(points, curves, mode="exact")
