@@ -117,15 +117,22 @@ class ScanResult:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, stdout, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stdout = stdout
+
+    def print_help(self, file=None):  # --help writes to main's stdout, not sys.stdout
+        super().print_help(file if file is not None else self.stdout)
+
     def error(self, message):  # argparse would print a usage block and exit 2
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="incidencelab")
+def _build_parser(stdout) -> argparse.ArgumentParser:
+    parser = _Parser(prog="incidencelab", stdout=stdout)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name, allow_abbrev=False)  # scan --m must not read as --mode
+        p = sub.add_parser(name, allow_abbrev=False, stdout=stdout)  # scan --m must not read as --mode
         p.add_argument("--config")
         for key, opt in OPTIONS.items():
             if name not in opt.commands:
@@ -341,7 +348,7 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(stdout).parse_args(argv)
         return COMMANDS[args.command](_merge_config(args), stdout, stderr)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

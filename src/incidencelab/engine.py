@@ -2,26 +2,70 @@
 
 Exact mode clears denominators once per object and evaluates integer
 residuals over all m*n pairs.  Prefilter mode screens pairs with float
-residuals in cache-friendly tiles (numpy) and confirms every survivor with
-the same integer predicate; the screen may only add candidates, never drop
-a true incidence.  Totals are identical in both modes and independent of
-the thread count (tiles merge by index).
+residuals in tiles and confirms every survivor with the same integer
+predicate; the screen may only add candidates, never drop a true incidence.
+Totals are identical in both modes and independent of the thread count
+(tiles merge by index).
 
-Each instance kind is one ``Kind`` record in the ``KINDS`` table.  Float
-rows divide out the integer-cleared tuples (int / int rounds correctly, so
-each entry is within eps relative error).  Every residual takes fewer than
-16 flops on them, so its forward error is below the record's tolerance:
-64*eps times a degree-2 polynomial in M, the largest row magnitude (at
-least 1); the generous constant keeps the bound sound without tracking each
-rounding.  No intermediate value of a residual exceeds 16*M^2, so for
-M <= SCREEN_MAX residuals and tau are finite; otherwise, or when a row
-overflows the float range, prefilter mode confirms every pair exactly and
-reports tau = None.
+Each instance kind is one ``Kind`` record in the ``KINDS`` table.  The screen
+writes every residual as a dot product, by the classical lifting of circles
+to planes: |p - c|^2 - r^2 = |p|^2 - 2 p.c + (|c|^2 - r^2) is linear in the
+lifted point (|p|^2, 1, px, py).  Each point gets one float row and each
+curve one float column per residual, so one tile of one residual is one
+matrix product:
+
+    tangency  circle     (|p|^2, 1, px, py) . (1, |c|^2 - r^2, -2cx, -2cy)
+              direction  (u py, u, px, 1)   . (1, -cy, 1, -cx)
+    anchored  sphere     (|p|^2, px, py, pz) . (1, -2cx, -2cy, -2cz)
+              plane      (px, py, pz) . (nx, ny, nz)
+    lines3    p x v - q x v, one column per component of the cross product
+              against (px, py, pz, 1); z first, because on a horizontal line
+              the x and y components vanish on a whole plane of points
+
+The anchored sphere residual drops |c|^2 - 1, which is exactly 0 since
+``AnchoredCircle`` enforces |c| = 1.
+
+Tolerance.  M >= 1 is the largest magnitude among the float point coordinates
+(and u) and the curve's centre or base point, r^2, normal or direction; tau is
+64*eps*(M^2 + M + 1) for tangency and 64*eps*(M^2 + 1) otherwise, per
+residual (eps = FLOAT_EPS).  Every lifted entry is one int / int (or int to
+float) of the cleared integers, correctly rounded, so its relative error is
+at most u = eps/2.  A k-term dot product of such entries, summed in any order
+and with or without FMA, is within gamma_(k+2) * S of the exact residual,
+where S is the sum of the exact terms' magnitudes and gamma_j = j*u / (1 -
+j*u) < 3.0001*eps for j <= 6: one rounding per product and per addition
+along any path of the summation tree, plus one per lifted entry (Higham,
+Accuracy and Stability of Numerical Algorithms, section 3.1).  With every
+coordinate at most M(1 + u):
+
+    tangency  circle     S <= 2M^2 + (2M^2 + M) + 4M^2 = 8M^2 + M
+              direction  S <= M^2 + M^2 + M + M = 2M^2 + 2M
+    anchored  sphere     S <= 3M^2 + 2|p| |c| <= 3M^2 + 2*sqrt(3)*M   (|c| = 1)
+              plane      S <= 3M^2
+    lines3    each       S <= M^2 + M^2 + 2M^2 = 4M^2
+
+so the error is below 24.1*eps*M^2 + 3.1*eps*M (tangency circle),
+6.1*eps*(M^2 + M) (direction), 9.1*eps*M^2 + 10.5*eps*M <= 14.4*eps*(M^2 + 1)
+(sphere, by 2M <= M^2 + 1), 9.1*eps*M^2 (plane) and 12.1*eps*M^2 (lines3),
+each under its tau.  Counting every rounding as a full eps instead of eps/2
+doubles each bound (about 48, 18 and 24 eps*M^2 for the circle, the sphere and
+lines3 at large M), which still stays under tau.
+
+For M <= SCREEN_MAX = 2^500 every lifted entry and partial sum is at most
+8M^2 + M < 2^1004, so residuals and tau are finite.  Otherwise, or when a
+float quantity overflows at conversion, prefilter mode confirms every pair
+exactly and reports tau = None.  An entry or product that falls below 2^-1022
+(say |p|^2 with denominators near 10^200) carries an absolute error of at
+most 2^-1022 instead of a relative one, even if the BLAS flushes subnormals
+to zero.  Times a partner entry of at most 3M^2 and over at most four terms,
+that adds less than 2^-1010 * (M^2 + 1), which the floor tau >= 64*eps
+absorbs, because M >= 1.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,9 +126,11 @@ class Kind:
     int_point: Callable[[Any], tuple]  # object -> integer-cleared tuple
     int_curve: Callable[[Any], tuple]
     pair: Callable[[tuple, tuple], bool]  # exact predicate on cleared tuples
-    float_curve: Callable[[tuple], tuple]  # center or point, then normal or direction
-    # tile of point rows x tile of curve rows -> arrays that vanish on incidences
-    residuals: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]]
+    float_curve: Callable[[tuple], tuple]  # center or point, then r2, normal or direction
+    # cleared tuple -> one float row (point) or column (curve) per residual;
+    # a residual is the dot product of the two, and vanishes on incidences
+    lift_point: Callable[[tuple], Tuple[tuple, ...]]
+    lift_curve: Callable[[tuple], Tuple[tuple, ...]]
     tolerance: Callable[[float], Tuple[float, ...]]  # M -> tau per residual
 
 
@@ -145,36 +191,55 @@ def _pair_lines3(P, C) -> bool:
     )
 
 
-def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d); every point row
+def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d): point coordinates (and u)
     return (t[0] / t[3], t[1] / t[3], t[2] / t[3])
 
 
-def _res_tangency(p: np.ndarray, c: np.ndarray) -> tuple:
-    dx, dy = p[:, 0:1] - c[:, 0], p[:, 1:2] - c[:, 1]
-    return dx * dx + dy * dy - c[:, 2], p[:, 2:3] * dy + dx
+def _lift_dp(P) -> tuple:
+    ax, ay, au, d = P
+    dd = d * d
+    px, py, u = _float3(P)
+    return ((ax * ax + ay * ay) / dd, 1.0, px, py), (au * ay / dd, u, px, 1.0)
 
 
-def _res_anchored(p: np.ndarray, c: np.ndarray) -> tuple:
-    wx, wy, wz = (p[:, k:k + 1] - c[:, k] for k in range(3))
-    dot = p[:, 0:1] * c[:, 3] + p[:, 1:2] * c[:, 4] + p[:, 2:3] * c[:, 5]
-    return wx * wx + wy * wy + wz * wz - 1.0, dot
+def _lift_circle(C) -> tuple:
+    bx, by, e, rn, rd = C
+    ee = e * e
+    return ((1.0, ((bx * bx + by * by) * rd - rn * ee) / (ee * rd), -2 * bx / e, -2 * by / e),
+            (1.0, -by / e, 1.0, -bx / e))
 
 
-def _res_lines3(p: np.ndarray, c: np.ndarray) -> tuple:
-    wx, wy, wz = (p[:, k:k + 1] - c[:, k] for k in range(3))
-    vx, vy, vz = c[:, 3], c[:, 4], c[:, 5]
-    return wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx
+def _lift_point3_anchored(P) -> tuple:
+    ax, ay, az, d = P
+    p = _float3(P)
+    return ((ax * ax + ay * ay + az * az) / (d * d),) + p, p
+
+
+def _lift_anchored(C) -> tuple:
+    nx, ny, nz, cx, cy, cz, e = C
+    return (1.0, -2 * cx / e, -2 * cy / e, -2 * cz / e), (float(nx), float(ny), float(nz))
+
+
+def _lift_point3_lines(P) -> tuple:
+    return (_float3(P) + (1.0,),) * 3
+
+
+def _lift_line3(C) -> tuple:
+    qx, qy, qz, e, vx, vy, vz = C
+    return ((float(vy), float(-vx), 0.0, -(qx * vy - qy * vx) / e),
+            (0.0, float(vz), float(-vy), -(qy * vz - qz * vy) / e),
+            (float(-vz), 0.0, float(vx), -(qz * vx - qx * vz) / e))
 
 
 KINDS: Tuple[Kind, ...] = (
     Kind("tangency", DirectedPoint, Circle2, _int_dp, _int_circle, _pair_tangency,
-         lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _res_tangency,
+         lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _lift_dp, _lift_circle,
          lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2),
     Kind("anchored", Vec3, AnchoredCircle, _int_point3, _int_anchored, _pair_anchored,
-         lambda C: _float3(C[3:]) + tuple(map(float, C[:3])), _res_anchored,
+         lambda C: _float3(C[3:]) + tuple(map(float, C[:3])), _lift_point3_anchored, _lift_anchored,
          lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
     Kind("lines3", Vec3, Line3, _int_point3, _int_line3, _pair_lines3,
-         lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _res_lines3,
+         lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _lift_point3_lines, _lift_line3,
          lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3),
 )
 
@@ -193,25 +258,41 @@ def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
     """Candidate (i, j) index arrays per tile, in tile order, and tau; None
     when the float rows cannot certify a screen (see the module notes)."""
     try:
-        P = np.array([_float3(p) for p in ipts])
-        C = np.array([kind.float_curve(c) for c in icvs])
+        mag = max(1.0, max(abs(x) for p in ipts for x in _float3(p)),
+                  max(abs(x) for c in icvs for x in kind.float_curve(c)))
     except OverflowError:
         return None
-    mag = max(1.0, float(np.max(np.abs(P))), float(np.max(np.abs(C))))
     if mag > SCREEN_MAX:
         return None
     tau = kind.tolerance(mag)
+    lifted_pts = [kind.lift_point(p) for p in ipts]
+    lifted_cvs = [kind.lift_curve(c) for c in icvs]
+    # per residual: point rows (m x w), curve columns (w x n), tau
+    factors = [(np.array([lp[k] for lp in lifted_pts]), np.array([lc[k] for lc in lifted_cvs]).T, t)
+               for k, t in enumerate(tau)]
+    m, n = len(ipts), len(icvs)
+    cap = min(tile, m) * min(tile, n)
+    buffers = threading.local()  # residual, mask and hit tiles, one set per worker thread
+    empty = np.empty(0, dtype=np.intp)
 
     def work(span):
         i0, i1, j0, j1 = span
-        res = kind.residuals(P[i0:i1], C[j0:j1])
-        mask = np.abs(res[0]) <= tau[0]
-        for r, t in zip(res[1:], tau[1:]):
-            mask &= np.abs(r) <= t
+        if not hasattr(buffers, "tiles"):
+            buffers.tiles = (np.empty(cap), np.empty(cap, dtype=bool), np.empty(cap, dtype=bool))
+        res, mask, hit = (buf[:(i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0) for buf in buffers.tiles)
+        for k, (rows, cols, t) in enumerate(factors):
+            np.matmul(rows[i0:i1], cols[:, j0:j1], out=res)
+            np.abs(res, out=res)
+            if k == 0:
+                np.less_equal(res, t, out=mask)
+            else:
+                np.less_equal(res, t, out=hit)
+                mask &= hit
+            if not mask.any():  # np.nonzero on an empty tile costs more than the product
+                return empty, empty
         ii, jj = np.nonzero(mask)
         return ii + i0, jj + j0
 
-    m, n = len(ipts), len(icvs)
     tiles = [(i0, min(i0 + tile, m), j0, min(j0 + tile, n))
              for i0 in range(0, m, tile) for j0 in range(0, n, tile)]
     if threads > 1:

@@ -1,11 +1,16 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from incidencelab.anchored import AnchoredCircle
+from incidencelab.anchored import AnchoredCircle, anchored_point, sphere_point, tangent_basis
 from incidencelab.dual3 import Line3, circle_dual, dp_dual_line
 from incidencelab.engine import (
     CSV_HEADER,
+    KINDS,
     IncidenceReport,
     bound_ratio,
     count,
@@ -14,7 +19,7 @@ from incidencelab.engine import (
 )
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import GenSpec, gen
-from incidencelab.tangency import Circle2, DirectedPoint, is_tangent
+from incidencelab.tangency import Circle2, DirectedPoint, is_tangent, rotate_on_circle, tangent_at
 
 
 def random_tangency_instance(rng, m, n):
@@ -231,3 +236,184 @@ def test_prefilter_matches_exact_at_huge_magnitude(kind, exponent):
     assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
         (exact.kind, exact.total, exact.per_point, exact.per_curve)
     assert pre.tau is None
+
+
+# ---------------------------------------------------------------------------
+# Adversarial screens: every instance is built from exact incidences, copies
+# of them moved by one ulp, and magnitudes at the edges of the float range.
+# ---------------------------------------------------------------------------
+
+# Fixed draws and no shrinking: a failure reports its drawn instance within
+# seconds, where shrinking instances of 2^240-sized fractions takes minutes.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None,
+                    phases=(Phase.generate,))
+KIND = {kind.name: kind for kind in KINDS}
+# unit; numerators near 2^240 (squares just under SCREEN_MAX); denominators
+# near 10^200 (lifted squares underflow)
+SCALES = (Fraction(1), Fraction(2 ** 240 + 1), Fraction(1, 10 ** 200 + 3))
+small = st.fractions(-40, 40, max_denominator=12)
+nonzero = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+
+
+def ulp_off(x: Fraction) -> Fraction:
+    """x moved by one ulp of its float: not exact, but inside any float screen."""
+    return x + Fraction(math.ulp(float(x)))
+
+
+def nudge(draw, v: Vec3) -> Vec3:
+    axis = draw(st.sampled_from((None, None, None, 0, 1, 2)))
+    if axis is None:
+        return v
+    xyz = [v.x, v.y, v.z]
+    xyz[axis] = ulp_off(xyz[axis])
+    return Vec3(*xyz)
+
+
+@st.composite
+def tangency_piece(draw):
+    s = draw(st.sampled_from(SCALES))
+    center = Vec2(draw(small) * s, draw(small) * s)
+    r = draw(st.fractions(Fraction(1, 4), 40, max_denominator=12)) * s
+    circle = Circle2(center, r * r)
+    base = center + Vec2(r, 0)
+    points = []
+    for t in draw(st.lists(nonzero, min_size=1, max_size=4)):  # t != 0: never vertical
+        dp = tangent_at(circle, rotate_on_circle(circle, base, t))
+        how = draw(st.sampled_from(("exact", "exact", "x", "u")))
+        if how == "x":
+            dp = DirectedPoint(Vec2(ulp_off(dp.p.x), dp.p.y), dp.u)
+        elif how == "u":
+            dp = DirectedPoint(dp.p, ulp_off(dp.u))
+        points.append(dp)
+    curves = [circle, Circle2(center, ulp_off(circle.r2))] if draw(st.booleans()) else [circle]
+    return points, curves
+
+
+@st.composite
+def anchored_piece(draw):
+    scale = draw(st.sampled_from(("unit", "huge", "tiny")))
+    if scale == "huge":  # centre numerators near 2^240, normal near 2^360
+        big = 2 ** 60
+        alpha = Fraction(big + draw(st.integers(1, 99)), big + draw(st.integers(1, 99)))
+        beta = Fraction(big - draw(st.integers(1, 99)), big + draw(st.integers(1, 99)))
+    else:
+        alpha, beta = draw(small), draw(small)
+    c = sphere_point(alpha, beta)
+    e1, e2 = tangent_basis(c)
+    n = e1.scale(draw(nonzero)) + e2.scale(draw(small))
+    circle = AnchoredCircle(c, n)
+    ts = draw(st.lists(nonzero, min_size=1, max_size=4))
+    if scale == "tiny":  # points within 10^-199 of the origin
+        ts = [t / (10 ** 200 + 3) for t in ts]
+    return [nudge(draw, anchored_point(circle, t)) for t in ts], [circle]
+
+
+@st.composite
+def line_piece(draw):
+    s = draw(st.sampled_from(SCALES))
+    q = Vec3(draw(small) * s, draw(small) * s, draw(small) * s)
+    ints = st.integers(-6, 6)
+    v = Vec3(draw(ints), draw(ints), 0 if draw(st.booleans()) else draw(ints))
+    if v.is_zero():
+        v = Vec3(1, 0, 0)
+    line = Line3(q, v)
+    points = [nudge(draw, q + v.scale(t * s)) for t in draw(st.lists(small, min_size=1, max_size=4))]
+    return points, [line]
+
+
+def instance(pieces):
+    """Pieces in one instance, so magnitudes mix whenever their scales differ."""
+    return [p for ps, _ in pieces for p in ps], [c for _, cs in pieces for c in cs]
+
+
+def assert_screens_exactly(points, curves):
+    """The prefilter report at threads 1 and 3, checked equal to exact mode."""
+    exact = count(points, curves, mode="exact")
+    for threads in (1, 3):
+        pre = count(points, curves, mode="prefilter", threads=threads, tile=7)
+        assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
+            (exact.kind, exact.total, exact.per_point, exact.per_curve)
+        assert pre.tau is not None  # the float screen ran; no fallback to all pairs
+    return pre
+
+
+@PROPERTY
+@given(st.lists(tangency_piece(), min_size=1, max_size=4))
+def test_tangency_screen_is_exact(pieces):
+    assert_screens_exactly(*instance(pieces))
+
+
+@PROPERTY
+@given(st.lists(anchored_piece(), min_size=1, max_size=3))
+def test_anchored_screen_is_exact(pieces):
+    assert_screens_exactly(*instance(pieces))
+
+
+@PROPERTY
+@given(st.lists(line_piece(), min_size=1, max_size=4))
+def test_lines3_screen_is_exact(pieces):
+    assert_screens_exactly(*instance(pieces))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_screen_edges_are_reached(scale):
+    # one exact tangency and its one-ulp neighbour at each scale: the screen
+    # runs (tau is finite), keeps the incidence and confirm drops the neighbour
+    center, r = Vec2(3 * scale, -2 * scale), 5 * scale
+    circle = Circle2(center, r * r)
+    dp = tangent_at(circle, center + Vec2(3 * r / 5, 4 * r / 5))
+    near = DirectedPoint(Vec2(ulp_off(dp.p.x), dp.p.y), dp.u)
+    pre = assert_screens_exactly([dp, near], [circle])
+    assert pre.per_point == [1, 0]
+    if scale > 1:  # M = r^2 is near 2^485, just under SCREEN_MAX
+        assert 2.0 ** 900 < pre.tau[0]
+    if scale < 1:  # the lifted |p|^2 underflows to 0
+        assert KIND["tangency"].lift_point(KIND["tangency"].int_point(dp))[0][0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Lift identity: on dyadic inputs every float is exact, so each row . column
+# must equal its residual evaluated in Fraction.
+# ---------------------------------------------------------------------------
+
+dyadic = st.builds(Fraction, st.integers(-64, 64), st.sampled_from((1, 2, 4, 8)))
+
+
+def lifted(kind_name, point, curve):
+    kind = KIND[kind_name]
+    rows, cols = kind.lift_point(kind.int_point(point)), kind.lift_curve(kind.int_curve(curve))
+    assert len(rows) == len(cols) == len(kind.tolerance(1.0))
+    return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, col)) for row, col in zip(rows, cols)]
+
+
+@PROPERTY
+@given(dyadic, dyadic, dyadic, dyadic, dyadic, dyadic.filter(lambda x: x > 0))
+def test_lift_identity_tangency(px, py, u, cx, cy, r2):
+    dp, circle = DirectedPoint(Vec2(px, py), u), Circle2(Vec2(cx, cy), r2)
+    dx, dy = px - cx, py - cy
+    assert lifted("tangency", dp, circle) == [dx * dx + dy * dy - r2, u * dy + dx]
+
+
+@PROPERTY
+@given(dyadic, dyadic, dyadic, st.integers(0, 2), st.sampled_from((1, -1)),
+       st.integers(-9, 9), st.integers(1, 9))
+def test_lift_identity_anchored(px, py, pz, axis, sign, n1, n2):
+    # dyadic unit centres are the axis points; the normal is orthogonal to it
+    c, n = [0, 0, 0], [0, 0, 0]
+    c[axis] = sign
+    n[(axis + 1) % 3], n[(axis + 2) % 3] = n1, n2
+    p, circle = Vec3(px, py, pz), AnchoredCircle(Vec3(*c), Vec3(*n))
+    w = p - circle.c
+    assert lifted("anchored", p, circle) == [w.norm2() - 1, circle.n.dot(p)]
+
+
+@PROPERTY
+@given(dyadic, dyadic, dyadic, st.tuples(*[st.integers(-9, 9)] * 3), st.tuples(*[st.integers(-5, 5)] * 3))
+def test_lift_identity_lines3(px, py, pz, q, v):
+    # an integer base point keeps q x v integral after Line3 moves it to the foot
+    if not any(v):
+        v = (0, 0, 1)
+    p, line = Vec3(px, py, pz), Line3(Vec3(*q), Vec3(*v))
+    w = (p - line.point).cross(line.direction)
+    assert lifted("lines3", p, line) == [w.z, w.x, w.y]
