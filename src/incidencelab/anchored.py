@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, Vec3, primitive_int_vec3, rand_tan_half, rat, solve2
+from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rand_tan_half, rat, solve2
 from .polynomials import MPoly, RationalCurve, UniPoly, XYZ
 from .tangency import Circle2, DirectedPoint
 
@@ -42,9 +42,23 @@ class AnchoredCircle:
         return AnchoredCircle(Vec3.from_json(obj["c"]), Vec3.from_json(obj["n"]))
 
 
+def int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:
+    return (int(g.n.x), int(g.n.y), int(g.n.z)) + int_vec3(g.c)
+
+
+def pair_anchored(P: tuple, C: tuple) -> bool:
+    """n.p = 0 and |p - c| = 1 on ``int_vec3`` and ``int_anchored`` tuples; w = d e (p - c)."""
+    ax, ay, az, d = P
+    nx, ny, nz, cx, cy, cz, e = C
+    if nx * ax + ny * ay + nz * az != 0:
+        return False
+    wx, wy, wz, de = ax * e - cx * d, ay * e - cy * d, az * e - cz * d, d * e
+    return wx * wx + wy * wy + wz * wz == de * de
+
+
 def anchored_incident(p: Vec3, g: AnchoredCircle) -> bool:
     """True iff p lies on the anchored circle, exactly."""
-    return g.n.dot(p) == 0 and (p - g.c).norm2() == 1
+    return pair_anchored(int_vec3(p), int_anchored(g))
 
 
 def anchored_through_pair(p: Vec3, q: Vec3) -> Optional[AnchoredCircle]:

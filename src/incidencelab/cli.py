@@ -20,7 +20,7 @@ from typing import Any, List, Optional, Tuple
 from .dual3 import circle_dual, dp_dual_line, rich_planes, rich_planes_to_json
 from .engine import CSV_HEADER, bound_ratio, count, exponent_fit, t_rich_points
 from .exact import Vec3
-from .generators import GenSpec, InfeasibleSpecError, Instance, gen, st_grid_k
+from .generators import GenSpec, InfeasibleSpecError, Instance, certify, gen, st_grid_k
 from .partition import PartitionError, build_partition, classify
 from .verify import run_suite
 
@@ -200,14 +200,17 @@ def _genspec(cfg: dict) -> GenSpec:
 
 
 def _load_instance(cfg: dict) -> Tuple[Instance, int]:
-    if cfg["input"]:
-        with open(cfg["input"]) as fh:
-            try:
-                inst = Instance.from_json(json.load(fh))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"invalid input {cfg['input']}: {type(exc).__name__}: {exc}") from None
-        return inst, len(inst.planted_pairs)
-    return gen(_genspec(cfg))
+    if not cfg["input"]:
+        return gen(_genspec(cfg))
+    with open(cfg["input"]) as fh:
+        try:
+            inst = Instance.from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"invalid input {cfg['input']}: {type(exc).__name__}: {exc}") from None
+    try:
+        return inst, certify(inst)
+    except ValueError as exc:  # a planted pair out of range or not incident
+        raise UsageError(f"invalid input {cfg['input']}: {exc}") from None
 
 
 def _emit(text: str, cfg: dict, stdout) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .exact import RatLike, Vec2, Vec3, primitive_int_vec3, rat, rat_from_str, rat_to_str
+from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rat, rat_from_str, rat_to_str
 from .tangency import Circle2, DirectedPoint, Line2
 
 
@@ -38,7 +38,7 @@ class Line3:
         object.__setattr__(self, "direction", direction)
 
     def contains(self, x: Vec3) -> bool:
-        return (x - self.point).cross(self.direction).is_zero()
+        return pair_lines3(int_vec3(x), int_line3(self))
 
     def to_json(self) -> dict:
         return {"q": self.point.to_json(), "d": self.direction.to_json()}
@@ -46,6 +46,19 @@ class Line3:
     @staticmethod
     def from_json(obj: dict) -> "Line3":
         return Line3(Vec3.from_json(obj["q"]), Vec3.from_json(obj["d"]))
+
+
+def int_line3(line: Line3) -> Tuple[int, ...]:
+    v = line.direction
+    return int_vec3(line.point) + (int(v.x), int(v.y), int(v.z))
+
+
+def pair_lines3(P: tuple, C: tuple) -> bool:
+    """(x - q) x v = 0 on ``int_vec3`` and ``int_line3`` tuples; w = d e (x - q)."""
+    ax, ay, az, d = P
+    qx, qy, qz, e, vx, vy, vz = C
+    wx, wy, wz = ax * e - qx * d, ay * e - qy * d, az * e - qz * d
+    return wy * vz == wz * vy and wz * vx == wx * vz and wx * vy == wy * vx
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ predicate; the screen may only add candidates, never drop a true incidence.
 Totals are identical in both modes and independent of the thread count
 (tiles merge by index).
 
-Each instance kind is one ``Kind`` record in the ``KINDS`` table.  The screen
-writes every residual as a dot product, by the classical lifting of circles
-to planes: |p - c|^2 - r^2 = |p|^2 - 2 p.c + (|c|^2 - r^2) is linear in the
-lifted point (|p|^2, 1, px, py).  Each point gets one float row and each
-curve one float column per residual, so one tile of one residual is one
-matrix product:
+Each instance kind is one ``Kind`` record in the ``KINDS`` table; the integer
+clearing and exact predicate it calls are defined with the kind's types.
+
+The screen writes every residual as a dot product, by the classical lifting
+of circles to planes: |p - c|^2 - r^2 = |p|^2 - 2 p.c + (|c|^2 - r^2) is
+linear in the lifted point (|p|^2, 1, px, py).  Each point gets one float row
+and each curve one float column per residual, so one tile of one residual is
+one matrix product:
 
     tangency  circle     (|p|^2, 1, px, py) . (1, |c|^2 - r^2, -2cx, -2cy)
               direction  (u py, u, px, 1)   . (1, -cy, 1, -cx)
@@ -73,10 +75,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .anchored import AnchoredCircle
-from .dual3 import Line3
-from .exact import Vec3, clear_denominators
-from .tangency import Circle2, DirectedPoint
+from .anchored import AnchoredCircle, int_anchored, pair_anchored
+from .dual3 import Line3, int_line3, pair_lines3
+from .exact import Vec3, int_vec3
+from .tangency import Circle2, DirectedPoint, int_circle, int_dp, pair_tangency
 
 FLOAT_EPS = float(np.finfo(np.float64).eps)
 SCREEN_MAX = 2.0 ** 500
@@ -134,63 +136,6 @@ class Kind:
     tolerance: Callable[[float], Tuple[float, ...]]  # M -> tau per residual
 
 
-def _int_dp(dp: DirectedPoint) -> Tuple[int, int, int, int]:
-    return clear_denominators(dp.p.x, dp.p.y, dp.u)
-
-
-def _int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
-    return clear_denominators(c.center.x, c.center.y) + (c.r2.numerator, c.r2.denominator)
-
-
-def _int_point3(v: Vec3) -> Tuple[int, int, int, int]:
-    return clear_denominators(v.x, v.y, v.z)
-
-
-def _int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:
-    return (int(g.n.x), int(g.n.y), int(g.n.z)) + _int_point3(g.c)
-
-
-def _int_line3(line: Line3) -> Tuple[int, ...]:
-    v = line.direction
-    return _int_point3(line.point) + (int(v.x), int(v.y), int(v.z))
-
-
-def _pair_tangency(P, C) -> bool:
-    ax, ay, au, d = P
-    bx, by, e, rn, rd = C
-    wx = ax * e - bx * d
-    wy = ay * e - by * d
-    if au * wy + d * wx != 0:
-        return False
-    de = d * e
-    return rd * (wx * wx + wy * wy) == rn * de * de
-
-
-def _pair_anchored(P, C) -> bool:
-    ax, ay, az, d = P
-    nx, ny, nz, cx, cy, cz, e = C
-    if nx * ax + ny * ay + nz * az != 0:
-        return False
-    wx = ax * e - cx * d
-    wy = ay * e - cy * d
-    wz = az * e - cz * d
-    de = d * e
-    return wx * wx + wy * wy + wz * wz == de * de
-
-
-def _pair_lines3(P, C) -> bool:
-    ax, ay, az, d = P
-    qx, qy, qz, e, vx, vy, vz = C
-    wx = ax * e - qx * d
-    wy = ay * e - qy * d
-    wz = az * e - qz * d
-    return (
-        wy * vz - wz * vy == 0
-        and wz * vx - wx * vz == 0
-        and wx * vy - wy * vx == 0
-    )
-
-
 def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d): point coordinates (and u)
     return (t[0] / t[3], t[1] / t[3], t[2] / t[3])
 
@@ -232,13 +177,13 @@ def _lift_line3(C) -> tuple:
 
 
 KINDS: Tuple[Kind, ...] = (
-    Kind("tangency", DirectedPoint, Circle2, _int_dp, _int_circle, _pair_tangency,
+    Kind("tangency", DirectedPoint, Circle2, int_dp, int_circle, pair_tangency,
          lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _lift_dp, _lift_circle,
          lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2),
-    Kind("anchored", Vec3, AnchoredCircle, _int_point3, _int_anchored, _pair_anchored,
+    Kind("anchored", Vec3, AnchoredCircle, int_vec3, int_anchored, pair_anchored,
          lambda C: _float3(C[3:]) + tuple(map(float, C[:3])), _lift_point3_anchored, _lift_anchored,
          lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
-    Kind("lines3", Vec3, Line3, _int_point3, _int_line3, _pair_lines3,
+    Kind("lines3", Vec3, Line3, int_vec3, int_line3, pair_lines3,
          lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _lift_point3_lines, _lift_line3,
          lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3),
 )

@@ -123,6 +123,11 @@ def clear_denominators(*xs: RatLike) -> Tuple[int, ...]:
     return (*(x.numerator * (d // x.denominator) for x in xs), d)
 
 
+def int_vec3(v: Vec3) -> Tuple[int, int, int, int]:
+    """(x, y, z, d): v = (x, y, z) / d over the lcm d of its denominators."""
+    return clear_denominators(v.x, v.y, v.z)
+
+
 def rand_tan_half(rng) -> Fraction:
     """Seeded rational rotation parameter (the tangent of a half angle)."""
     return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
@@ -149,7 +154,7 @@ def primitive_int_vec3(v: Vec3) -> Vec3:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
     if v.is_zero():
         raise ValueError("zero vector has no primitive form")
-    nx, ny, nz, _ = clear_denominators(v.x, v.y, v.z)
+    nx, ny, nz, _ = int_vec3(v)
     g = gcd(nx, ny, nz)
     nx, ny, nz = nx // g, ny // g, nz // g
     for c in (nx, ny, nz):

@@ -1,9 +1,10 @@
 """Exact configuration generators with certified planted incidences.
 
 Every kind is deterministic in its seed, and every planted incidence is
-re-checked with the exact predicate before the instance ships.  Random
-rationals are drawn as numerator/denominator pairs from configured bounds,
-then canonicalized, which keeps bit growth under control downstream.
+re-checked with the engine's exact predicate before the instance ships;
+``certify`` re-checks the planted pairs of a loaded instance the same way.
+Random rationals are drawn as numerator/denominator pairs from configured
+bounds, then canonicalized, which keeps bit growth under control downstream.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import List, Tuple
 
 from .anchored import (
     AnchoredCircle,
-    anchored_incident,
     anchored_point_sample,
     h_p_sample,
     sphere_point,
@@ -26,7 +26,7 @@ from .dual3 import Line3
 from .engine import KINDS as ENGINE_KINDS
 from .exact import Vec2, Vec3
 from .polynomials import MPoly, resultant
-from .tangency import Circle2, DirectedPoint, is_tangent, tangent_point_sample
+from .tangency import Circle2, DirectedPoint, tangent_point_sample
 
 
 class InfeasibleSpecError(Exception):
@@ -87,12 +87,12 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
-        kind = next((k for k in ENGINE_KINDS if k.name == obj["kind"]), None)
+        kind = _ENGINE_KIND.get(obj["kind"])
         if kind is None:
             raise ValueError(f"unknown instance kind {obj['kind']}")
         pts = [kind.point_type.from_json(o) for o in obj["points"]]
         cvs = [kind.curve_type.from_json(o) for o in obj["curves"]]
-        pairs = [tuple(t) for t in obj.get("planted_pairs", [])]
+        pairs = [(i, j) for i, j in obj.get("planted_pairs", [])]
         return Instance(kind.name, pts, cvs, pairs)
 
 
@@ -123,24 +123,25 @@ def rand_anchored_circle(rng, mag=5, den=8) -> AnchoredCircle:
             return AnchoredCircle(c, n)
 
 
-def _certify(instance: Instance) -> int:
-    """Re-run the exact predicate on every planted pair; raises on failure."""
-    if instance.kind == "tangency":
-        pred = lambda i, j: is_tangent(instance.points[i], instance.curves[j])
-    elif instance.kind == "anchored":
-        pred = lambda i, j: anchored_incident(instance.points[i], instance.curves[j])
-    else:
-        pred = lambda i, j: instance.curves[j].contains(instance.points[i])
-    for i, j in instance.planted_pairs:
-        if not pred(i, j):
-            raise AssertionError(f"planted pair ({i},{j}) failed exact re-check")
-    return len(instance.planted_pairs)
+def certify(instance: Instance) -> int:
+    """Re-check every planted pair with the engine's predicate; returns their number."""
+    kind, pairs = _ENGINE_KIND[instance.kind], instance.planted_pairs
+    m, n = len(instance.points), len(instance.curves)
+    for i, j in pairs:
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < m and 0 <= j < n):
+            raise ValueError(f"planted pair ({i}, {j}) is out of range for {m} points and {n} curves")
+    ipts = {i: kind.int_point(instance.points[i]) for i in {i for i, _ in pairs}}
+    icvs = {j: kind.int_curve(instance.curves[j]) for j in {j for _, j in pairs}}
+    for i, j in pairs:
+        if not kind.pair(ipts[i], icvs[j]):
+            raise ValueError(f"planted pair ({i}, {j}) failed the exact re-check")
+    return len(pairs)
 
 
 def gen(spec: GenSpec) -> Tuple[Instance, int]:
     """Generate an instance; returns it with the certified planted count."""
     inst = GENERATORS[spec.kind](spec, random.Random(spec.seed))
-    return inst, _certify(inst)
+    return inst, certify(inst)
 
 
 def _gen_random_tangency(spec: GenSpec, rng) -> Instance:
@@ -299,6 +300,7 @@ GENERATORS = {
     "anchored-planted": _gen_anchored_planted,
 }
 KINDS = tuple(GENERATORS)
+_ENGINE_KIND = {kind.name: kind for kind in ENGINE_KINDS}  # Instance.kind -> engine Kind
 
 
 # ---------------------------------------------------------------------------

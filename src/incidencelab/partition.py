@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Vec3, clear_denominators
+from .exact import Vec3, clear_denominators, int_vec3
 from .polynomials import (
     MPoly,
     RationalCurve,
@@ -315,7 +315,7 @@ def build_partition(
     signs_so_far: List[List[int]] = [[] for _ in range(m)]
     best_eps_seen = float("inf")
 
-    cleared = [clear_denominators(p.x, p.y, p.z) for p in points]
+    cleared = [int_vec3(p) for p in points]
     lift_degree = None
     for level in range(1, levels + 1):
         d = least_lift_degree(len(class_map))
@@ -367,7 +367,7 @@ def build_partition(
 
 def classify(points: Sequence[Vec3], pp: PartitionPoly) -> CellAssignment:
     """Exact sign evaluation of every factor at every point."""
-    cleared = [clear_denominators(p.x, p.y, p.z) for p in points]
+    cleared = [int_vec3(p) for p in points]
     columns = [_signs(cleared, f) for f in pp.factors]
     sign_vectors = [tuple(col[i] for col in columns) for i in range(len(points))]
     on_zero = [0 in sv for sv in sign_vectors]

@@ -92,12 +92,25 @@ class Line2:
         return self.eval_at(pt) == 0
 
 
+def int_dp(dp: DirectedPoint) -> Tuple[int, int, int, int]:
+    return clear_denominators(dp.p.x, dp.p.y, dp.u)
+
+
+def int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
+    return clear_denominators(c.center.x, c.center.y) + (c.r2.numerator, c.r2.denominator)
+
+
+def pair_tangency(P: tuple, C: tuple) -> bool:
+    """Exact tangency of ``int_dp`` and ``int_circle`` tuples; w = d e (p - c)."""
+    ax, ay, au, d = P
+    bx, by, e, rn, rd = C
+    wx, wy, de = ax * e - bx * d, ay * e - by * d, d * e
+    return au * wy + d * wx == 0 and rd * (wx * wx + wy * wy) == rn * de * de
+
+
 def is_tangent(dp: DirectedPoint, c: Circle2) -> bool:
     """True iff the circle passes through p with tangent slope u, exactly."""
-    d = dp.p - c.center
-    if d.norm2() != c.r2:
-        return False
-    return dp.u * d.y == -d.x
+    return pair_tangency(int_dp(dp), int_circle(c))
 
 
 class FStatus(Enum):

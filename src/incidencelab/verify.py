@@ -403,6 +403,11 @@ def _radical_line_tangency(c1: Circle2, c2: Circle2):
     return points, (1 if disc == 0 else 0)
 
 
+def _touching(c1: Circle2, c2: Circle2) -> bool:
+    """The centre distance is r1 + r2 or |r1 - r2|, squared twice to stay rational."""
+    return ((c1.center - c2.center).norm2() - c1.r2 - c2.r2) ** 2 == 4 * c1.r2 * c2.r2
+
+
 @check("lifted-pair-bound")
 def _lifted_pair_bound(rng, scale) -> CheckResult:
     # two distinct base circles share a directed point iff they touch in one
@@ -422,8 +427,7 @@ def _lifted_pair_bound(rng, scale) -> CheckResult:
             return False, "touching pair not recognized by radical-line oracle"
         if not (is_tangent(a, c1) and is_tangent(a, c2)):
             return False, "planted pair misses the shared directed point"
-        cert = ((c1.center - c2.center).norm2() - c1.r2 - c2.r2) ** 2 == 4 * c1.r2 * c2.r2
-        if not cert:
+        if not _touching(c1, c2):
             return False, "tangency certificate disagrees with construction"
     for _ in range(_trials(3000, scale)):
         c1, _ = _rand_circle(rng)
@@ -431,8 +435,7 @@ def _lifted_pair_bound(rng, scale) -> CheckResult:
         if c1 == c2:
             continue
         pts, shared = _radical_line_tangency(c1, c2)
-        cert = ((c1.center - c2.center).norm2() - c1.r2 - c2.r2) ** 2 == 4 * c1.r2 * c2.r2
-        if cert != (shared == 1):
+        if _touching(c1, c2) != (shared == 1):
             return False, "certificate and radical-line oracle disagree"
         if shared > 1 or pts > 2:
             return False, "pair bound violated"

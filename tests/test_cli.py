@@ -58,6 +58,21 @@ class TestBadInput:
         path.write_text(json.dumps(obj))
         assert_one_line_exit(["count", "--input", str(path)], cli.EXIT_USAGE)
 
+    @pytest.mark.parametrize("edit", ["pair-out-of-range", "r2-edited"])
+    def test_planted_pairs_rechecked(self, tmp_path, edit):
+        path = tmp_path / "inst.json"
+        assert run(["generate", "--kind", "pencil", "--m", "1", "--n", "3", "--out", str(path)])[0] == cli.EXIT_OK
+        obj = json.loads(path.read_text())
+        if edit == "pair-out-of-range":
+            obj["planted_pairs"][2], pair = [5, 7], "(5, 7)"
+        else:
+            obj["curves"][1]["r2"], pair = "1", "(0, 1)"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(["generate", "--input", str(path)])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(f"invalid input {path}: planted pair {pair} ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_rich_threshold_zero(self):
         assert_one_line_exit(["rich", "--kind", "pencil", "--m", "1", "--n", "3", "--t", "0"],
                              cli.EXIT_USAGE)

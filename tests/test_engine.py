@@ -7,7 +7,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from incidencelab.anchored import AnchoredCircle, anchored_point, sphere_point, tangent_basis
-from incidencelab.dual3 import Line3, circle_dual, dp_dual_line
+from incidencelab.dual3 import Line3, circle_dual, dp_dual_line, dual_incidence
 from incidencelab.engine import (
     CSV_HEADER,
     KINDS,
@@ -19,12 +19,7 @@ from incidencelab.engine import (
 )
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import GenSpec, gen
-from incidencelab.tangency import Circle2, DirectedPoint, is_tangent, rotate_on_circle, tangent_at
-
-
-def random_tangency_instance(rng, m, n):
-    inst, _ = gen(GenSpec("random-tangency", m, n, seed=rng.randint(0, 10 ** 9)))
-    return inst.points, inst.curves
+from incidencelab.tangency import Circle2, DirectedPoint, rotate_on_circle, tangent_at
 
 
 class TestCount:
@@ -41,12 +36,20 @@ class TestCount:
         assert count(inst.points, []).total == 0
         assert count([], inst.curves).total == 0
 
-    def test_exact_agrees_with_predicate(self):
-        rng = random.Random(4)
-        pts, cvs = random_tangency_instance(rng, 40, 40)
-        rep = count(pts, cvs, mode="exact")
-        brute = sum(1 for p in pts for c in cvs if is_tangent(p, c))
-        assert rep.total == brute
+    # the brute force uses forms independent of the engine's integer kernels
+    @pytest.mark.parametrize("spec, incident", [
+        (GenSpec("circle-sampled", 40, 10, seed=4), dual_incidence),
+        (GenSpec("anchored-planted", 40, 20, seed=4),
+         lambda p, g: g.n.dot(p) == 0 and (p - g.c).norm2() == 1),
+        (GenSpec("st-grid-horizontal-lines", 60, 60, seed=4),
+         lambda x, line: (x - line.point).cross(line.direction).is_zero()),
+    ], ids=["tangency", "anchored", "lines3"])
+    def test_exact_agrees_with_predicate(self, spec, incident):
+        inst, _ = gen(spec)
+        rep = count(inst.points, inst.curves, mode="exact")
+        brute = [sum(1 for c in inst.curves if incident(p, c)) for p in inst.points]
+        assert rep.total > 0
+        assert rep.per_point == brute
 
     def test_modes_agree_on_planted(self):
         inst, _ = gen(GenSpec("circle-sampled", 300, 60, seed=5))
