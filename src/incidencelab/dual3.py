@@ -5,6 +5,12 @@ zeta = r^2 - xi^2 - eta^2; a directed point maps to a line cut out by one
 non-vertical and one vertical plane.  Non-vertical planes decode to a power
 point w = (a/2, b/2) with power rho = d + a^2/4 + b^2/4: a dual point lies
 on the plane exactly when w has power rho with respect to the circle.
+
+``pair_plane`` is the rich-plane kernel: on two ``int_dp`` tuples it finds
+the non-vertical plane their dual lines span, with integer products only.
+``line_in_plane`` stays a ``Fraction`` oracle that calls no kernel, as do
+the tests' ``span_plane_3d`` (cross products in 3-space) and
+``rich_planes_by_rescan``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rat, rat_from_str, rat_to_str
-from .tangency import Circle2, DirectedPoint, Line2
+from .tangency import Circle2, DirectedPoint, Line2, int_dp
 
 
 def circle_dual(c: Circle2) -> Vec3:
@@ -167,30 +173,57 @@ def line_in_plane(dp: DirectedPoint, pp: PowerPlane) -> bool:
 PlaneKey = Union[PowerPlane, Line2]
 
 
-def _plane_through_pair(dp1: DirectedPoint, dp2: DirectedPoint) -> Optional[PowerPlane]:
-    """The non-vertical plane containing both dual lines, if exactly one does.
+def pair_plane(P: tuple, Q: tuple) -> Optional[Tuple[int, int, int, int]]:
+    """The non-vertical plane spanning the dual lines of two ``int_dp`` tuples.
 
-    Write the pair as (p, u) and (q, v).  By line_in_plane, the dual line of
-    (p, u) lies in (a, b, d) exactly when b = u*a - c with c = 2(u*p.x - p.y),
-    and a*p.x + b*p.y + d = |p|^2.  Different slopes fix a from the two b
+    Returns (A, B, D, g) with plane (a, b, d) = (A, B, D) / g, or None when no
+    single non-vertical plane holds both lines.  Write the pair as (p, u) and
+    (q, v).  By line_in_plane, the dual line of (p, u) lies in (a, b, d)
+    exactly when b = u*a - c with c = 2(u*p.x - p.y), and
+    a*p.x + b*p.y + d = |p|^2.  Different slopes fix a from the two b
     conditions.  Equal slopes need equal c (otherwise the lines are skew or
     share only a vertical plane), which makes them parallel, and
-    k = (p.x - q.x) + u(p.y - q.y), nonzero unless the points are equal; the
-    two constant conditions then fix a.  d follows from the first point and
-    the second is re-checked exactly.
+    k = (p.x - q.x) + u(p.y - q.y), nonzero unless the points are equal.  With
+    b = u*a - c and d from the first point, the second point's conditions
+    reduce to the constant one, a*k = |p|^2 - |q|^2 + c(p.y - q.y): it fixes a
+    for equal slopes and is the only re-check for different slopes.
+
+    Below, each rational is an integer over a power of the two tuples'
+    denominators d1 and d2, as the comments say; the constant condition then
+    reads a * k * d1 * d2 == r.
     """
-    p, u, q, v = dp1.p, dp1.u, dp2.p, dp2.u
-    c1, c2 = 2 * (u * p.x - p.y), 2 * (v * q.x - q.y)
-    if u != v:
-        a = (c1 - c2) / (u - v)
-    else:
-        k = (p.x - q.x) + u * (p.y - q.y)
-        if c1 != c2 or k == 0:
+    x1, y1, u1, d1 = P
+    x2, y2, u2, d2 = Q
+    s1, s2 = d1 * d1, d2 * d2
+    c1 = u1 * x1 - y1 * d1  # c = 2 c1 / d1^2
+    num = 2 * (c1 * s2 - (u2 * x2 - y2 * d2) * s1)  # c - c' = num / (d1^2 d2^2)
+    e = u1 * d2 - u2 * d1  # u - v = e / (d1 d2)
+    wx, wy = x1 * d2 - x2 * d1, y1 * d2 - y2 * d1  # p - q = (wx, wy) / (d1 d2)
+    k = d1 * wx + u1 * wy  # the k above is k / (d1^2 d2)
+    # the right side of the constant condition is r / (d1^3 d2^2)
+    r = d1 * ((x1 * x1 + y1 * y1) * s2 - (x2 * x2 + y2 * y2) * s1) + 2 * d2 * c1 * wy
+    if e:  # a = num / (d1 d2 e)
+        if num * k != r * e:
             return None
-        a = (p.norm2() - q.norm2() + c1 * (p.y - q.y)) / k
-    b = u * a - c1
-    pp = PowerPlane(a, b, p.norm2() - a * p.x - b * p.y)
-    return pp if line_in_plane(dp2, pp) else None
+        an, ad = num, d1 * d2 * e
+    else:  # a = r / (k d1 d2)
+        if num or not k:
+            return None
+        an, ad = r, k * d1 * d2
+    bn = u1 * d1 * an - 2 * c1 * ad  # b = bn / (d1^2 ad)
+    dn = (x1 * x1 + y1 * y1) * d1 * ad - an * x1 * s1 - bn * y1  # d = dn / (d1^3 ad)
+    return an * d1 * s1, bn * d1, dn, d1 * s1 * ad
+
+
+def _power_plane(plane: Tuple[int, int, int, int]) -> PowerPlane:
+    a, b, d, g = plane
+    return PowerPlane(Fraction(a, g), Fraction(b, g), Fraction(d, g))
+
+
+def _plane_through_pair(dp1: DirectedPoint, dp2: DirectedPoint) -> Optional[PowerPlane]:
+    """The non-vertical plane containing both dual lines, if exactly one does."""
+    plane = pair_plane(int_dp(dp1), int_dp(dp2))
+    return None if plane is None else _power_plane(plane)
 
 
 def rich_planes(dps: List[DirectedPoint], q: int) -> List[Tuple[PlaneKey, List[int]]]:
@@ -200,22 +233,26 @@ def rich_planes(dps: List[DirectedPoint], q: int) -> List[Tuple[PlaneKey, List[i
     trace.  Non-vertical planes are collected from spanning pairs alone: two
     distinct lines lie in at most one plane, so if lines i and j span P, any
     other line k in P differs from i or from j, and that pair spans P too and
-    adds k.  Equal directed points have equal dual lines and are not paired.
-    Output is sorted by member count descending, ties broken by the
-    canonical plane key.
+    adds k.  Each point is cleared once and each pair runs ``pair_plane``;
+    the ``PowerPlane`` key is built only for spanning pairs.  Equal directed
+    points have equal dual lines and are not paired: their cleared tuples are
+    equal, since ``clear_denominators`` uses the lcm.  Output is sorted by
+    member count descending, ties broken by the canonical plane key.
     """
     if q < 2:
         raise ValueError("richness threshold must be at least 2")
     planes: Dict[PlaneKey, Set[int]] = {}
     for i, dp in enumerate(dps):
         planes.setdefault(dp_dual_line(dp).vertical_trace(), set()).add(i)
-    for i, dp in enumerate(dps):
-        for j in range(i + 1, len(dps)):
-            if dp == dps[j]:
+    cleared = [int_dp(dp) for dp in dps]
+    for i, P in enumerate(cleared):
+        for j in range(i + 1, len(cleared)):
+            Q = cleared[j]
+            if P == Q:
                 continue
-            pp = _plane_through_pair(dp, dps[j])
-            if pp is not None:
-                planes.setdefault(pp, set()).update((i, j))
+            plane = pair_plane(P, Q)
+            if plane is not None:
+                planes.setdefault(_power_plane(plane), set()).update((i, j))
 
     def sort_key(entry):
         plane, members = entry

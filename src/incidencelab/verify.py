@@ -338,9 +338,10 @@ def _anchored_dual_uniqueness(rng, scale) -> CheckResult:
 
 @check("lift-tangency-equivalence")
 def _lift_equivalence(rng, scale) -> CheckResult:
-    for _ in range(_trials(20000, scale)):
-        c, _ = _rand_circle(rng)
-        a = _rand_dp(rng)
+    # every other trial is a tangent pair, so both answers are exercised
+    for i in range(_trials(20000, scale)):
+        c, base = _rand_circle(rng)
+        a = tangent_point_sample(c, base, rng) if i % 2 else _rand_dp(rng)
         lifted = anc.lifted_contains(anc.LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
         if lifted != is_tangent(a, c):
             return False, f"lift/tangency mismatch for {a}, {c}"

@@ -1,5 +1,10 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,14 @@ class TestExitCodes:
         assert (code, err) == (cli.EXIT_OK, "")
         assert "--histograms" in out
         assert capsys.readouterr().out == ""
+
+    def test_python_m_help(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "incidencelab", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: incidencelab")
 
     def test_infeasible_spec(self):
         code, _, err = run(["count", "--kind", "pencil", "--m", "3", "--n", "5"])
@@ -287,6 +300,13 @@ class TestDualCmd:
         assert len(payload["dual_points"]) == 3
         assert len(payload["dual_lines"]) == 1
         assert "rich_planes" in payload
+
+    def test_dual_payload_golden(self):
+        code, out, _ = run(["dual", "--kind", "circle-sampled", "--m", "20", "--n", "5", "--q", "2"])
+        assert code == cli.EXIT_OK
+        assert len(json.loads(out)["rich_planes"]) == 30
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f25da7d9f136ee2fc17bb5dc0ccdba59b9900b0c5e9b16432773774e0ac65aca")
 
 
 class TestScan:

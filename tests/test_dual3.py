@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from incidencelab.exact import Vec2, Vec3
-from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
+from incidencelab.generators import GenSpec, _rand_circle, _rand_dp, gen, rand_rat
 from incidencelab.dual3 import (
     Line3,
     PowerPlane,
@@ -326,6 +330,73 @@ class TestSpanningPairs:
                 for k in (-2, 0, 3):
                     pt = line.point0() + line.direction().scale(k)
                     assert pp.eval_at(pt) == 0
+
+
+# Numerators up to 2^200 over denominators up to 2^64; the second branch
+# keeps both near the top, which the first one rarely draws.
+HUGE = (st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 64))
+        | st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from((1, -1)),
+                    st.integers(2 ** 199, 2 ** 200), st.integers(2 ** 63, 2 ** 64)))
+
+
+@st.composite
+def huge_pairs(draw):
+    """Two directed points and the plane they must span ("any" when free).
+    Half have equal slopes.  Radial pairs lie on a power circle around w:
+    an antipodal pair has parallel dual lines, a rotated pair crossing ones.
+    Free pairs draw the second point, and its slope unless it is equal."""
+    p, w = Vec2(draw(HUGE), draw(HUGE)), Vec2(draw(HUGE), draw(HUGE))
+    if p.x == w.x:
+        w = w + Vec2(1, 0)
+    equal_slopes, radial = draw(st.booleans()), draw(st.booleans())
+    if radial:
+        circle = Circle2(w, (p - w).norm2())
+        if equal_slopes:
+            q = w.scale(2) - p
+        else:
+            q = rotate_on_circle(circle, p, draw(st.fractions(-9, 9, max_denominator=9).filter(bool)))
+        assume(q.x != w.x)
+        a, b = DirectedPoint(p, (p.y - w.y) / (p.x - w.x)), DirectedPoint(q, (q.y - w.y) / (q.x - w.x))
+        return a, b, encode_power(w, circle.r2)
+    a = DirectedPoint(p, draw(HUGE))
+    return a, DirectedPoint(Vec2(draw(HUGE), draw(HUGE)), a.u if equal_slopes else draw(HUGE)), "any"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(huge_pairs())
+def test_pair_plane_matches_3d_reference_at_huge_magnitude(pair):
+    a, b, planted = pair
+    plane = _plane_through_pair(a, b)
+    assert plane == span_plane_3d(a, b)
+    if planted != "any":  # a radial pair spans its power circle's plane
+        assert plane == planted
+
+
+POWER_CENTERS = (Vec2(1, -1), Vec2(Fraction(-7, 3), Fraction(5, 2)))
+
+
+def planted_radial_instance():
+    """Tangent points of circle-sampled 30x4 (seed 5), radial points on two
+    power circles (rotations and an antipode) and one duplicate, shuffled."""
+    inst, _ = gen(GenSpec("circle-sampled", 30, 4, seed=5))
+    dps = list(inst.points)
+    for w, base in zip(POWER_CENTERS, (Vec2(4, 3), Vec2(Fraction(1, 3), 4))):
+        circle = Circle2(w, (base - w).norm2())
+        ring = [rotate_on_circle(circle, base, Fraction(t, 3)) for t in range(8)] + [w.scale(2) - base]
+        dps.extend(DirectedPoint(p, (p.y - w.y) / (p.x - w.x)) for p in ring if p.x != w.x)
+    dps.append(dps[0])
+    random.Random(42).shuffle(dps)
+    return dps
+
+
+def test_rich_planes_golden():
+    report = rich_planes(planted_radial_instance(), 3)
+    # the two power circles' planes lead the report
+    assert [(pl, len(ms)) for pl, ms in report[:2]] == [
+        (encode_power(POWER_CENTERS[1], Fraction(337, 36)), 9), (encode_power(POWER_CENTERS[0], 25), 8)]
+    payload = json.dumps(rich_planes_to_json(report), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "6be97db3b02049a01b87ff4051619155f3bc24a6cd3804671f40eb5fdba13985")
 
 
 def test_line3_canonicalization():
