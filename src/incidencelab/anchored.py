@@ -3,8 +3,10 @@
 An anchored circle has radius 1 and passes through the origin, so its center
 sits on the unit sphere about the origin.  Rational centers come from the
 inverse stereographic map of rational (alpha, beta); the plane normal is a
-primitive integer vector.  Lifted circles realize plane tangencies as space
-curves with the slope as third coordinate.
+primitive integer vector.  One rational (Cayley) rotation about an axis,
+``_rotate``, samples both the center circles and the anchored circles.  Lifted
+circles realize plane tangencies as space curves with the slope as third
+coordinate.
 """
 
 from __future__ import annotations
@@ -150,19 +152,18 @@ def h_p_contains(p: Vec3, g: AnchoredCircle) -> bool:
     return anchored_incident(p, g)
 
 
-def center_circle_point(p: Vec3, base_center: Vec3, t: RatLike) -> Vec3:
-    """Rational point on {|c|^2 = 1, 2 c.p = |p|^2}, rotated from a witness.
+def _rotate(v: Vec3, a: Vec3, t: Fraction) -> Vec3:
+    """Rational (Cayley, tan-half) rotation of v, orthogonal to a, about the
+    axis a: ((1 - |a|^2 t^2) v + 2 t (a x v)) / (1 + |a|^2 t^2)."""
+    k = a.norm2() * t * t
+    return (v.scale(1 - k) + a.cross(v).scale(2 * t)).scale(Fraction(1) / (1 + k))
 
-    With d = base - p/2 (orthogonal to p) the family
-    c(t) = p/2 + ((1 - s t^2) d + 2 t (p x d)) / (1 + s t^2),  s = |p|^2,
-    stays on the center circle for every rational t.
-    """
-    t = rat(t)
-    s = p.norm2()
+
+def center_circle_point(p: Vec3, base_center: Vec3, t: RatLike) -> Vec3:
+    """Rational point on {|c|^2 = 1, 2 c.p = |p|^2}: p/2 plus the witness's
+    offset from p/2, which is orthogonal to p, rotated about p by t."""
     half = p.scale(Fraction(1, 2))
-    d = base_center - half
-    den = 1 + s * t * t
-    return half + (d.scale(1 - s * t * t) + p.cross(d).scale(2 * t)).scale(Fraction(1) / den)
+    return half + _rotate(base_center - half, p, rat(t))
 
 
 def h_p_sample(p: Vec3, k: int, rng, base_center: Optional[Vec3] = None) -> List[AnchoredCircle]:
@@ -237,14 +238,9 @@ def anchored_pair_intersections(g1: AnchoredCircle, g2: AnchoredCircle) -> List[
 
 
 def anchored_point(g: AnchoredCircle, t: RatLike) -> Vec3:
-    """Rational point on the anchored circle; t = 0 gives the origin.
-
-    x(t) = c - ((1 - s t^2) c - 2 t (n x c)) / (1 + s t^2) with s = |n|^2.
-    """
-    t = rat(t)
-    s = g.n.norm2()
-    den = 1 + s * t * t
-    return g.c - (g.c.scale(1 - s * t * t) - g.n.cross(g.c).scale(2 * t)).scale(Fraction(1) / den)
+    """Rational point on the anchored circle, c - (c rotated about n by -t):
+    the origin, which is c - c, turned in the circle's plane; t = 0 gives it."""
+    return g.c - _rotate(g.c, g.n, -rat(t))
 
 
 def anchored_point_sample(g: AnchoredCircle, rng) -> Vec3:

@@ -26,7 +26,7 @@ from .dual3 import Line3
 from .engine import KINDS as ENGINE_KINDS
 from .exact import Vec2, Vec3
 from .polynomials import MPoly, resultant
-from .tangency import Circle2, DirectedPoint, tangent_point_sample
+from .tangency import Circle2, DirectedPoint, tangent_circle, tangent_point_sample
 
 
 class InfeasibleSpecError(Exception):
@@ -159,7 +159,6 @@ def _gen_pencil(spec: GenSpec, rng) -> Instance:
         raise InfeasibleSpecError(
             f"pencil needs {spec.n} distinct offsets; coord_range {mag} and den_bound {den} allow fewer")
     dp = _rand_dp(rng, mag, den)
-    normal = Vec2(-dp.u, 1)
     seen = set()
     curves = []
     while len(curves) < spec.n:
@@ -167,7 +166,7 @@ def _gen_pencil(spec: GenSpec, rng) -> Instance:
         if s == 0 or s in seen:
             continue
         seen.add(s)
-        curves.append(Circle2(dp.p + normal.scale(s), s * s * normal.norm2()))
+        curves.append(tangent_circle(dp, s))
     pairs = [(0, j) for j in range(spec.n)]
     return Instance("tangency", [dp], curves, pairs)
 

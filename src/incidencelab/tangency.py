@@ -2,10 +2,13 @@
 
 A directed point is a plane point with a finite tangent slope; a circle is
 stored with its squared radius so that every tangency equation stays
-rational.  The pair polynomial F is the denominator-cleared |pw|^2 - |qw|^2,
-where w is the meet of the two perpendiculars; its degenerate configurations
-(parallel or coincident perpendiculars) are reported through an explicit
-status channel so that degeneracy is never conflated with F = 0.
+rational.  The circles tangent to a directed point (p, u) form its pencil:
+``tangent_circle`` builds the member centred at p + s(-u, 1), and
+``common_circle`` the one circle two pencils can share, centred where the
+normals meet.  The pair polynomial F is the denominator-cleared
+|pw|^2 - |qw|^2; its degenerate configurations (parallel or coincident
+perpendiculars) are reported through an explicit status channel so that
+degeneracy is never conflated with F = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, clear_denominators, rand_tan_half, rat, rat_from_str, rat_to_str, solve2
+from .exact import RatLike, Vec2, clear_denominators, rand_tan_half, rat, rat_from_str, rat_to_str
 
 
 class VerticalTangent(Exception):
@@ -120,16 +123,14 @@ class FStatus(Enum):
 
 
 def _foot(dp1: DirectedPoint, dp2: DirectedPoint) -> Optional[Vec2]:
-    """Meet of the perpendiculars to the two directions through p and q."""
-    sol = solve2(
-        Fraction(1), dp1.u,
-        Fraction(1), dp2.u,
-        dp1.p.x + dp1.u * dp1.p.y,
-        dp2.p.x + dp2.u * dp2.p.y,
-    )
-    if sol is None:
+    """Meet w of the normals x + u y = p.x + u p.y through p and q; None when
+    they are parallel (u = v)."""
+    u, v = dp1.u, dp2.u
+    if u == v:
         return None
-    return Vec2(sol[0], sol[1])
+    e1 = dp1.p.x + u * dp1.p.y
+    y = (dp2.p.x + v * dp2.p.y - e1) / (v - u)
+    return Vec2(e1 - u * y, y)
 
 
 def eval_F(dp1: DirectedPoint, dp2: DirectedPoint) -> Tuple[Fraction, FStatus]:
@@ -158,19 +159,27 @@ def eval_F(dp1: DirectedPoint, dp2: DirectedPoint) -> Tuple[Fraction, FStatus]:
 def common_circle(dp1: DirectedPoint, dp2: DirectedPoint) -> Optional[Circle2]:
     """The unique circle tangent to both directed points, when it exists.
 
-    Returns a circle only in the regular branch: F = 0 with distinct,
-    non-parallel perpendiculars and a foot differing from both base points.
+    Both pencils are centred on their normals, so it is centred at their
+    meet w.  It exists iff the normals meet, |p - w| = |q - w| and w is
+    neither base point: F's regular zero branch with the foot off p and q.
     """
-    value, status = eval_F(dp1, dp2)
-    if status is not FStatus.REGULAR or value != 0:
-        return None
+    if dp1 == dp2:
+        raise ValueError("identical directed points")
     w = _foot(dp1, dp2)
-    assert w is not None
-    if w == dp1.p or w == dp2.p:
+    if w is None or w == dp1.p or w == dp2.p:
         return None
-    circle = Circle2(w, (dp1.p - w).norm2())
-    assert is_tangent(dp1, circle) and is_tangent(dp2, circle)
-    return circle
+    r2 = (dp1.p - w).norm2()
+    if r2 != (dp2.p - w).norm2():
+        return None
+    return Circle2(w, r2)
+
+
+def tangent_circle(dp: DirectedPoint, s: RatLike) -> Circle2:
+    """The member of dp's pencil centred at p + s*(-u, 1): tangent to dp at p,
+    with squared radius s^2 (1 + u^2).  s = 0 raises, as ``Circle2`` does."""
+    s = rat(s)
+    normal = Vec2(-dp.u, 1)
+    return Circle2(dp.p + normal.scale(s), s * s * normal.norm2())
 
 
 def power(w: Vec2, c: Circle2) -> Fraction:
@@ -189,16 +198,12 @@ def orthogonal_tangent_circle(dp: DirectedPoint, w: Vec2, rho: RatLike) -> Optio
     d = w - dp.p
     if d.norm2() == 0 and rho <= 0:
         raise ValueError("power point coincides with tangency point")
-    normal = Vec2(-dp.u, 1)
-    denom = 2 * d.dot(normal)
+    denom = 2 * d.dot(Vec2(-dp.u, 1))
     numer = d.norm2() - rho
     if denom == 0:
         return None  # cos(alpha) = 0 when numer != 0; indeterminate when 0
     s = numer / denom
-    r2 = s * s * normal.norm2()
-    if r2 <= 0:
-        return None
-    return Circle2(dp.p + normal.scale(s), r2)
+    return None if s == 0 else tangent_circle(dp, s)
 
 
 def circles_tangent_to_line(dp: DirectedPoint, line: Line2) -> Tuple[int, List[Circle2]]:
@@ -214,25 +219,17 @@ def circles_tangent_to_line(dp: DirectedPoint, line: Line2) -> Tuple[int, List[C
     u = dp.u
     L0 = line.eval_at(dp.p)
     lead = (A + u * B) ** 2
-    normal = Vec2(-u, 1)
-
-    def circle_of(s: Fraction) -> Circle2:
-        return Circle2(dp.p + normal.scale(s), s * s * normal.norm2())
-
     if L0 == 0:
         return 0, []
     if lead == 0:
-        s = L0 / (2 * (u * A - B))
-        return 1, [circle_of(s)]
+        return 1, [tangent_circle(dp, L0 / (2 * (u * A - B)))]
     # Discriminant/4 = L0^2 (A^2+B^2)(1+u^2) > 0: always two real roots.
     disc = L0 * L0 * (A * A + B * B) * (1 + u * u)
     root = _rational_sqrt(disc)
     if root is None:
         return 2, []
     half_b = L0 * (B - A * u)
-    s1 = (half_b + root) / lead
-    s2 = (half_b - root) / lead
-    return 2, [circle_of(s1), circle_of(s2)]
+    return 2, [tangent_circle(dp, (half_b + sign * root) / lead) for sign in (1, -1)]
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:

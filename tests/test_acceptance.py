@@ -86,14 +86,14 @@ def test_cubic_surface_vanishing():
     return f"{evaluations} evaluations, all exactly zero"
 
 
-@report(5, "triple collinearity on engineered triples; no random counterexample")
+@report(5, "triple collinearity on engineered triples; three-circle triples give their planted circles")
 def test_collinearity_consequence():
     rng = random.Random(105)
     engineered = 0
     while engineered < 10_000:
         engineered += len(passing([engineered_triple_trial(rng)]))
-    candidates = len(passing(random_triple_trial(rng) for _ in range(100_000)))
-    return f"{engineered} engineered triples collinear; search: {candidates} candidate triples, 0 counterexamples"
+    planted = len(passing(random_triple_trial(rng) for _ in range(100_000)))
+    return f"{engineered} engineered triples collinear; {planted} three-circle triples gave their planted common circles"
 
 
 @report(6, "anchored structure: pair uniqueness, 2-point bound, boundary midpoint")

@@ -25,7 +25,7 @@ from incidencelab.anchored import (
     sphere_point,
 )
 from incidencelab.polynomials import restrict_to_curve
-from incidencelab.tangency import Circle2, DirectedPoint, is_tangent
+from incidencelab.tangency import Circle2, DirectedPoint, is_tangent, tangent_circle
 
 
 def rand_anchored(rng):
@@ -258,12 +258,11 @@ class TestCubicSurface:
         rng = random.Random(16)
         dp0 = _rand_dp(rng, 10, 10)
         f = cubic_surface(dp0)
-        normal = Vec2(-dp0.u, 1)
         for _ in range(30):
             s = rand_rat(rng, 10, 10)
             if s == 0:
                 continue
-            c = Circle2(dp0.p + normal.scale(s), s * s * normal.norm2())
+            c = tangent_circle(dp0, s)
             assert is_tangent(dp0, c)
             lc = LiftedCircle(c)
             for _ in range(10):
@@ -274,8 +273,7 @@ class TestCubicSurface:
         # the whole lifted curve lies inside the cubic surface
         dp0 = DirectedPoint(Vec2(1, 2), Fraction(1, 3))
         f = cubic_surface(dp0)
-        normal = Vec2(-dp0.u, 1)
-        c = Circle2(dp0.p + normal.scale(3), 9 * normal.norm2())
+        c = tangent_circle(dp0, 3)
         curve = lifted_param(LiftedCircle(c), dp0.p)
         assert restrict_to_curve(f, curve).is_zero()
 

@@ -123,6 +123,18 @@ class TestAnchored:
         assert hashlib.sha256(payload).hexdigest() == (
             "f76264b9834fbc82c4beffe221a37f35392f5b83bea0dc058e79565e84e4c73c")
 
+    @pytest.mark.parametrize("spec, digest", [
+        (GenSpec("pencil", 1, 30, seed=3),
+         "997189f893a90e93f6d8f739a93b89162e514d52b21bc2043d5e9f45c954e619"),
+        (GenSpec("circle-sampled", 40, 10, seed=4),
+         "b6ea0cf5376bbbeef31c5550cc9e67df84ee55afb4c4df4067fefb672e9d8e6d"),
+    ])
+    def test_tangency_instances_pinned(self, spec, digest):
+        # same draws, same Fractions: the sorted-key instance JSON is pinned
+        inst, _ = gen(spec)
+        payload = json.dumps(inst.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
     def test_planted_counted_by_engine(self):
         inst, planted = gen(GenSpec("anchored-planted", 30, 20, seed=10))
         total = count(inst.points, inst.curves).total

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
-from incidencelab.exact import Vec2
+from incidencelab.exact import Vec2, Vec3, det3
 from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.tangency import (
     Circle2,
@@ -19,6 +22,7 @@ from incidencelab.tangency import (
     power,
     rotate_on_circle,
     tangent_at,
+    tangent_circle,
     tangent_point_sample,
 )
 
@@ -112,6 +116,26 @@ class TestCommonCircle:
                 hits += 1
         assert hits > 400
 
+    def test_three_common_circles_need_not_have_collinear_centres(self):
+        # every pair is regular with F = 0, and each point's two common
+        # circles are centred on its normal line, but the three centres are
+        # the pairwise meets of three normals and are not collinear
+        a = dp(0, 0, 0)
+        b = dp(Fraction(3, 5), Fraction(9, 5), Fraction(-3, 4))
+        c = dp(Fraction(24, 13), Fraction(36, 13), Fraction(-12, 5))
+        circles = {}
+        for x, y in combinations((a, b, c), 2):
+            assert eval_F(x, y) == (0, FStatus.REGULAR)
+            got = circles[x, y] = common_circle(x, y)
+            assert is_tangent(x, got) and is_tangent(y, got)
+        for x in (a, b, c):
+            for pair, got in circles.items():
+                if x in pair:
+                    assert (got.center - x.p).dot(Vec2(1, x.u)) == 0
+        centres = [got.center for got in circles.values()]
+        assert centres == [Vec2(0, 1), Vec2(0, 2), Vec2(Fraction(12, 11), Fraction(27, 11))]
+        assert det3(*(Vec3(w.x, w.y, 1) for w in centres)) != 0
+
     def test_pairwise_uniqueness(self):
         # Tangent circles to dp1 live on its normal line; tangency to dp2 pins
         # the normal parameter linearly, so a second common circle never
@@ -139,6 +163,68 @@ class TestCommonCircle:
                 cand = Circle2(cand_center, r2)
                 if is_tangent(a, cand) and is_tangent(b, cand):
                     assert cand == got
+
+
+# Numerators up to 2^200 over denominators up to 2^64; the second branch
+# keeps both near the top, which the first one rarely draws.
+HUGE = (st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 64))
+        | st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from((1, -1)),
+                    st.integers(2 ** 199, 2 ** 200), st.integers(2 ** 63, 2 ** 64)))
+BRANCHES = ("shared",) * 5 + ("free", "parallel", "coincident", "same-point", "foot-on-p")
+
+
+@st.composite
+def common_circle_pairs(draw):
+    """Two directed points and the circle they must share (None when free).
+    Half share a member of a's pencil, b being a rotation of p on it with its
+    tangent there.  The rest are a free b, parallel normals (equal slopes),
+    coincident normals (b on a's normal), the same point with another slope
+    (F = 0 with the foot at p) and b's normal through p (the foot at p)."""
+    a = DirectedPoint(Vec2(draw(HUGE), draw(HUGE)), draw(HUGE))
+    q, v = Vec2(draw(HUGE), draw(HUGE)), draw(HUGE)
+    branch = draw(st.sampled_from(BRANCHES))
+    if branch == "shared":
+        circle = tangent_circle(a, draw(HUGE.filter(bool)))
+        t = draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+        try:
+            return a, tangent_at(circle, rotate_on_circle(circle, a.p, t)), circle
+        except VerticalTangent:
+            assume(False)
+    if branch == "parallel":
+        v = a.u
+    elif branch == "coincident":
+        q, v = a.p + Vec2(-a.u, 1).scale(draw(HUGE.filter(bool))), a.u
+    elif branch == "same-point":
+        q = a.p
+    elif branch == "foot-on-p":
+        assume(q.y != a.p.y)
+        v = (q.x - a.p.x) / (a.p.y - q.y)
+    return a, DirectedPoint(q, v), None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(common_circle_pairs())
+def test_common_circle_iff_regular_zero_F_at_huge_magnitude(pair):
+    a, b, planted = pair
+    assume(a != b)
+    value, status = eval_F(a, b)
+    got = common_circle(a, b)
+    # with F = 0 the foot w is a base point iff p = q, since |p - w| = |q - w|
+    assert (got is not None) == (status is FStatus.REGULAR and value == 0 and a.p != b.p)
+    if planted is not None:
+        assert got == planted
+    if got is not None:
+        assert is_tangent(a, got) and is_tangent(b, got)
+
+
+class TestPencil:
+    def test_centre_on_normal(self):
+        assert tangent_circle(dp(0, 0, 0), 5) == circ(0, 5, 25)
+        assert tangent_circle(dp(3, 1, Fraction(3, 4)), -4) == circ(6, -3, 25)
+
+    def test_zero_offset_rejected(self):
+        with pytest.raises(ValueError):
+            tangent_circle(dp(1, 2, 3), 0)
 
 
 class TestPower:
