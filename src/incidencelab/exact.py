@@ -66,7 +66,7 @@ class Vec2:
 
     @staticmethod
     def from_json(obj: list) -> "Vec2":
-        return Vec2(Fraction(obj[0]), Fraction(obj[1]))
+        return Vec2(*_coords(obj, 2))
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,14 @@ class Vec3:
 
     @staticmethod
     def from_json(obj: list) -> "Vec3":
-        return Vec3(Fraction(obj[0]), Fraction(obj[1]), Fraction(obj[2]))
+        return Vec3(*_coords(obj, 3))
 
 
-ZERO3 = Vec3(0, 0, 0)
+def _coords(obj, n: int) -> Tuple[Fraction, ...]:
+    """n coordinates from a JSON list; any other shape raises ValueError."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != n:
+        raise ValueError(f"expected a list of {n} coordinates, got {obj!r}")
+    return tuple(Fraction(v) for v in obj)
 
 
 def clear_denominators(*xs: RatLike) -> Tuple[int, ...]:

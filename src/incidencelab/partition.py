@@ -163,18 +163,6 @@ def _poly_from_coeffs(monos, coeffs) -> MPoly:
     return MPoly(XYZ, {mono: c for mono, c in zip(monos, coeffs) if c != 0})
 
 
-def _class_labels(classes: List[np.ndarray], m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Class of every point, len(classes) for a point in none, and the class
-    sizes, with size 0 for that spare label."""
-    n_classes = len(classes)
-    labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
-    for c, idx in enumerate(classes):
-        labels[idx] = c
-    sizes = np.bincount(labels, minlength=n_classes + 1)
-    sizes[n_classes] = 0
-    return labels, sizes
-
-
 def _best_constant(
     vals: np.ndarray, labels: np.ndarray, sizes: np.ndarray, target: float
 ) -> Tuple[float, Tuple[float, float]]:
@@ -187,6 +175,9 @@ def _best_constant(
     adds 4 + 8w - 4n to the sum of squares, so prefix maxima and prefix sums
     give both scores.  A threshold equal to a pooled value leaves that
     value's points on neither side; such thresholds are counted directly.
+    labels holds each point's class, with len(sizes) - 1 for a point in
+    none, whose size must be 0.  Labels enter only through ranks within a
+    class, sizes and bincounts, so renumbering the classes changes nothing.
     """
     m = vals.size
     if m == 0:
@@ -232,19 +223,19 @@ def _best_constant(
 
 def _search_level(
     vals_matrix: np.ndarray,
-    classes: List[np.ndarray],
+    labels: np.ndarray,
+    sizes: np.ndarray,
     target: float,
     rng: random.Random,
     starts: int,
     sweeps: int,
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[float, np.ndarray]:
     """Randomized hyperplane search + local coefficient improvement.
 
-    Returns integer coefficients for the non-constant monomials and a float
-    constant (the caller snaps it to a bounded-denominator rational).
+    Returns a float threshold theta and integer coefficients for the
+    non-constant monomials (the caller snaps -theta to a rational constant).
     """
     n_mono = vals_matrix.shape[1]
-    labels, sizes = _class_labels(classes, vals_matrix.shape[0])
     best_c: Optional[np.ndarray] = None
     best_theta = 0.0
     best_score = (float("inf"), float("inf"))
@@ -277,7 +268,7 @@ def _search_level(
         if best_score[0] == 0.0 and best_score[1] == 0.0:
             break
     assert best_c is not None
-    return np.concatenate(([-best_theta], best_c)), best_score[0]
+    return best_theta, best_c
 
 
 def _snap(value: float, max_den: int = 1 << 16) -> Fraction:
@@ -311,14 +302,16 @@ def build_partition(
     factors: List[MPoly] = []
     degrees: List[int] = []
     balances: List[float] = []
-    class_map: List[np.ndarray] = [np.arange(m)]
-    signs_so_far: List[List[int]] = [[] for _ in range(m)]
+    # labels[i]: point i's sign class, or k once on an earlier factor's zero set
+    k = 1
+    labels = np.zeros(m, dtype=np.min_scalar_type(k))
+    sizes = np.array([m, 0])
     best_eps_seen = float("inf")
 
     cleared = [int_vec3(p) for p in points]
     lift_degree = None
     for level in range(1, levels + 1):
-        d = least_lift_degree(len(class_map))
+        d = least_lift_degree(k)
         monos = veronese_monomials(d)
         if d != lift_degree:
             vals_matrix = _lift(cleared, monos, d)
@@ -326,20 +319,17 @@ def build_partition(
         target = (1 + epsilon) * m / (2 ** level)
         accepted = None
         for attempt in range(retries):
-            coeffs_f, _ = _search_level(
-                vals_matrix, class_map, target * 0.999, rng,
+            theta, c = _search_level(
+                vals_matrix, labels, sizes, target * 0.999, rng,
                 starts=starts * (attempt + 1), sweeps=sweeps,
             )
-            coeffs = [_snap(coeffs_f[0])] + [Fraction(int(c)) for c in coeffs_f[1:]]
+            coeffs = [_snap(-theta)] + [Fraction(int(v)) for v in c]
             g = _poly_from_coeffs(monos, coeffs)
             if g.is_zero():
                 continue
-            signs = _signs(cleared, g)
-            worst = 0
-            for idx in class_map:
-                pos = sum(1 for i in idx if signs[i] > 0)
-                neg = sum(1 for i in idx if signs[i] < 0)
-                worst = max(worst, pos, neg)
+            signs = np.array(_signs(cleared, g))
+            worst = int(max(np.bincount(labels[side], minlength=k + 1)[:k].max(initial=0)
+                            for side in (signs > 0, signs < 0)))
             achieved = worst * (2 ** level) / m - 1
             best_eps_seen = min(best_eps_seen, achieved)
             if worst <= target:
@@ -351,16 +341,11 @@ def build_partition(
         factors.append(g)
         degrees.append(g.total_degree())
         balances.append(achieved)
-        new_classes: Dict[Tuple[int, ...], List[int]] = {}
-        for idx_arr in class_map:
-            for i in idx_arr:
-                s = signs[i]
-                signs_so_far[i].append(s)
-                if s == 0:
-                    continue
-                key = tuple(signs_so_far[i])
-                new_classes.setdefault(key, []).append(i)
-        class_map = [np.array(v) for v in new_classes.values()]
+        halves = np.where((signs == 0) | (labels == k), 2 * k, 2 * labels.astype(np.intp) + (signs > 0))
+        kept, labels = np.unique(halves, return_inverse=True)
+        k = int(np.count_nonzero(kept < 2 * k))  # the nonempty classes; the spare 2k sorts last
+        labels = labels.astype(np.min_scalar_type(k))
+        sizes = np.bincount(labels[labels < k], minlength=k + 1)
 
     return PartitionPoly(factors, degrees, balances, epsilon, seed)
 

@@ -667,9 +667,7 @@ def numeric_crossing_count(poly: UniPoly) -> int:
             samples.extend(float(t) for t in np.linspace(r.real - width, r.real + width, 9))
     samples = sorted(set(samples))
     changes = 0
-    prev_t = samples[0]
-    prev_sign = 0
-    v = poly.eval(Fraction(prev_t))
+    v = poly.eval(Fraction(samples[0]))
     prev_sign = (v > 0) - (v < 0)
     for t in samples[1:]:
         fv = poly.eval_float(t)
@@ -681,7 +679,6 @@ def numeric_crossing_count(poly: UniPoly) -> int:
                 changes += 1
             if sign != 0:
                 prev_sign = sign
-        prev_t = t
     return changes
 
 

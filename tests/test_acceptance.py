@@ -59,7 +59,7 @@ def test_master_duality_equivalence():
     passing(duality_trial(rng, i % 10 == 0) for i in range(100_000))  # every 10th pair incident
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
-    return f"0 discrepancies in {elapsed:.1f}s"
+    return "0 discrepancies"
 
 
 @report(2, "power-plane correspondence and round trip on 1e4 pairs")
@@ -172,7 +172,7 @@ def test_scaling_harness():
             f"max bound_ratio constant {worst[2]:.3f} ({worst[0]} at {worst[1]})")
 
 
-@report(9, "engine: modes identical at m=n=2000; 2e4 prefilter throughput logged")
+@report(9, "engine: modes identical at m=n=2000; 2e4 prefilter count completes")
 def test_engine_modes_and_throughput():
     inst, _ = gen(GenSpec("random-tangency", 2000, 2000, seed=109))
     a = count(inst.points, inst.curves, mode="exact")
@@ -186,11 +186,9 @@ def test_engine_modes_and_throughput():
     assert pa.per_point == pb.per_point and pa.per_curve == pb.per_curve
 
     inst, _ = gen(GenSpec("random-tangency", 20000, 20000, seed=110))
-    t0 = time.perf_counter()
     rep = count(inst.points, inst.curves, mode="prefilter", threads=8)
-    elapsed = time.perf_counter() - t0
     return (f"modes identical (random total {a.total}, planted total {pa.total}); "
-            f"m=n=2e4 prefilter in {elapsed:.1f}s on 8 threads (soft target 60s)")
+            f"m=n=2e4 prefilter on 8 threads, {rep.total} incidences")
 
 
 @report(10, "resultant demo: eliminant is the height difference on the tested locus")

@@ -65,7 +65,9 @@ class TestBadInput:
         {"kind": "tangency", "points": [], "curves": [{"c": ["0", "0"], "r2": "-1"}]},
         {"kind": "tangency", "points": [], "curves": [{"r2": "1"}]},
         {"kind": "nope", "points": [], "curves": []},
-    ], ids=["negative-r2", "missing-key", "unknown-kind"])
+        {"kind": "anchored", "points": [["1", "0"]], "curves": [], "planted_pairs": []},
+        {"kind": "tangency", "points": [{"p": ["1"], "u": "0"}], "curves": []},
+    ], ids=["negative-r2", "missing-key", "unknown-kind", "short-vec3", "short-vec2"])
     def test_invalid_instance_objects(self, tmp_path, obj):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(obj))

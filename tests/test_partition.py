@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from incidencelab import partition
 from incidencelab.exact import Vec3
 from incidencelab.anchored import LiftedCircle, lifted_param
 from incidencelab.generators import _rand_circle, rand_rat
@@ -12,7 +15,6 @@ from incidencelab.partition import (
     PartitionError,
     PartitionPoly,
     _best_constant,
-    _class_labels,
     build_partition,
     classify,
     curve_crossings,
@@ -88,6 +90,35 @@ class TestBuild:
         again = PartitionPoly.from_json(pp.to_json())
         assert [f.terms for f in again.factors] == [f.terms for f in pp.factors]
         assert again.level_degrees == pp.level_degrees
+
+    def test_search_sees_the_nonempty_sign_prefix_classes(self, monkeypatch):
+        # every 5th point is put on the zero set of each factor: from level 2
+        # on the search must see it at the spare label k, with size 0, and
+        # every other point in one class per nonempty sign prefix
+        real_signs, real_search = partition._signs, partition._search_level
+        monkeypatch.setattr(partition, "_signs", lambda cleared, f: [
+            0 if i % 5 == 0 else s for i, s in enumerate(real_signs(cleared, f))])
+        levels = []
+
+        def search(vals_matrix, labels, sizes, *args, **kwargs):
+            if not levels or levels[-1][0] is not labels:
+                levels.append((labels, sizes.copy()))
+            return real_search(vals_matrix, labels, sizes, *args, **kwargs)
+
+        monkeypatch.setattr(partition, "_search_level", search)
+        pts = rand_points(random.Random(33), 200)
+        sign_vectors = classify(pts, build_partition(pts, 3, 0.3, seed=34)).sign_vectors
+        assert len(levels) == 3
+        for done, (labels, sizes) in enumerate(levels):
+            k = sizes.size - 1
+            assert labels.dtype == np.min_scalar_type(k) and sizes[k] == 0
+            owner = {}
+            for i, sv in enumerate(sign_vectors):
+                key = None if 0 in sv[:done] else sv[:done]
+                assert owner.setdefault(key, labels[i]) == labels[i]
+            assert owner.get(None, k) == k and len(set(owner.values())) == len(owner)
+            assert k == len(owner) - (None in owner)
+            assert sizes[:k].min() > 0 and np.array_equal(sizes[:k], np.bincount(labels, minlength=k + 1)[:k])
 
 
 class TestClassify:
@@ -188,6 +219,19 @@ class TestGolden:
             "cell_model": "sign-vector classes (coarsening of connected components)",
         }
 
+    def test_four_level_partition_pinned(self):
+        # level degrees 1, 1, 2, 2: the class bookkeeping of two lifts and
+        # 16 final classes; the sorted-key JSON is pinned
+        rng = random.Random(2025)
+        pts = rand_points(rng, 512)
+        pp = build_partition(pts, 4, 0.2, seed=32)
+        assert pp.level_degrees == [1, 1, 2, 2]
+        assert len(classify(pts, pp).populations) == 16
+        assert all(type(b) is float for b in pp.balances)
+        payload = json.dumps(pp.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "3d995738a9dee7b817c9249b3f77e663013d4bed838c673b5fbffbdcf5bbbc50")
+
 
 def best_constant_per_class(vals, classes, target):
     """The per-class scan: sort each class, two searchsorted calls per class."""
@@ -209,6 +253,17 @@ def best_constant_per_class(vals, classes, target):
     return float(thetas[best]), (float(excess[best]), float(imbalance[best]))
 
 
+def class_labels(classes, m):
+    """Class of every point, len(classes) for a point in none, and the class
+    sizes, with size 0 for that spare label."""
+    labels = np.full(m, len(classes), dtype=np.min_scalar_type(len(classes)))
+    for c, idx in enumerate(classes):
+        labels[idx] = c
+    sizes = np.bincount(labels, minlength=len(classes) + 1)
+    sizes[len(classes)] = 0
+    return labels, sizes
+
+
 def adjacent_floats(rng, base, m):
     out = []
     for _ in range(m):
@@ -221,8 +276,10 @@ def adjacent_floats(rng, base, m):
 
 class TestBestConstant:
     def check(self, vals, classes, target):
-        got = _best_constant(vals, *_class_labels(classes, vals.size), target)
+        got = _best_constant(vals, *class_labels(classes, vals.size), target)
         assert got == best_constant_per_class(vals, classes, target)
+        # the class numbering does not matter
+        assert _best_constant(vals, *class_labels(classes[::-1], vals.size), target) == got
 
     @pytest.mark.parametrize("target", [0.0, 1.0, 2.5, 6.0, 100.0])
     def test_duplicates(self, target):
@@ -269,7 +326,7 @@ class TestBestConstant:
             vals = np.array([rng.choice([float("nan"), float(rng.randint(-3, 3))]) for _ in range(m)])
             classes = [np.array(sorted(rng.sample(range(m), rng.randrange(1, m + 1))))]
             target = rng.choice([0.0, m / 3])
-            got = _best_constant(vals, *_class_labels(classes, m), target)
+            got = _best_constant(vals, *class_labels(classes, m), target)
             np.testing.assert_equal(got, best_constant_per_class(vals, classes, target))
 
     def test_classes_missing_indices(self):
@@ -283,7 +340,7 @@ class TestBestConstant:
 
     def test_no_classes_and_no_values(self):
         self.check(np.array([2.0, -1.0, 2.0]), [], 0.0)
-        assert _best_constant(np.array([]), *_class_labels([], 0), 1.0) == (0.0, (float("inf"), float("inf")))
+        assert _best_constant(np.array([]), *class_labels([], 0), 1.0) == (0.0, (float("inf"), float("inf")))
 
     def test_seeded_search_inputs(self):
         # the shapes the level search produces: partitions of all points
