@@ -211,29 +211,18 @@ def anchored_pair_intersections(g1: AnchoredCircle, g2: AnchoredCircle) -> List[
     if g1 == g2:
         raise ValueError("circles must be distinct")
     out = [Vec3(0, 0, 0)]
-    line_dir = g1.n.cross(g2.n)
-    if not line_dir.is_zero():
-        # planes differ: common points ride t * line_dir
-        v2 = line_dir.norm2()
-        t1 = 2 * g1.c.dot(line_dir)
-        if t1 != 0:
-            x = line_dir.scale(t1 / v2)
-            if anchored_incident(x, g2):
-                out.append(x)
-        return out
-    # same plane: |x-c1| = |x-c2| = 1 forces x orthogonal to c2 - c1
-    if g1.c == g2.c:
-        return out
-    d = g2.c - g1.c
-    w = g1.n.cross(d)
-    if w.is_zero():
-        return out
-    t = 2 * w.dot(g1.c)
-    if t == 0:
-        return out
-    x = w.scale(t / w.norm2())
-    if anchored_incident(x, g1) and anchored_incident(x, g2):
-        out.append(x)
+    # Common points lie on a line L through the origin: the meet n1 x n2 of
+    # the planes when they differ; in one plane, |x-c1| = |x-c2| = 1 forces
+    # x orthogonal to c2 - c1, so L = n1 x (c2 - c1).  L meets circle 1 again
+    # at x = L 2(c1.L)/|L|^2, unless L is zero or touches it only at the origin.
+    line = g1.n.cross(g2.n)
+    if line.is_zero():
+        line = g1.n.cross(g2.c - g1.c)
+    t = 2 * g1.c.dot(line)
+    if t != 0:
+        x = line.scale(t / line.norm2())
+        if anchored_incident(x, g1) and anchored_incident(x, g2):
+            out.append(x)
     return out
 
 
@@ -261,13 +250,6 @@ class LiftedCircle:
     """Space curve of directed points tangent to the base circle (degree 4)."""
 
     base: Circle2
-
-    def to_json(self) -> dict:
-        return {"base": self.base.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LiftedCircle":
-        return LiftedCircle(Circle2.from_json(obj["base"]))
 
 
 def lifted_contains(lc: LiftedCircle, pt: Vec3) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rat, rat_from_str, rat_to_str
+from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rat, rat_to_str
 from .tangency import Circle2, DirectedPoint, Line2, int_dp
 
 
@@ -93,10 +93,6 @@ class PowerPlane:
 
     def to_json(self) -> dict:
         return {"a": rat_to_str(self.a), "b": rat_to_str(self.b), "d": rat_to_str(self.d)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PowerPlane":
-        return PowerPlane(rat_from_str(obj["a"]), rat_from_str(obj["b"]), rat_from_str(obj["d"]))
 
 
 def encode_power(w: Vec2, rho: RatLike) -> PowerPlane:

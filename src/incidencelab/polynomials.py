@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact import clear_denominators, rat, rat_to_str
+from .exact import Vec3, clear_denominators, rat, rat_to_str
 
 Coef = Union[Fraction, int]
 
@@ -95,14 +95,7 @@ class UniPoly:
         return UniPoly([c * k for c in self.coeffs])
 
     def pow(self, e: int) -> "UniPoly":
-        out = UniPoly.const(1)
-        base = self
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, UniPoly.const(1))
 
     def eval(self, t: Coef) -> Fraction:
         t = rat(t)
@@ -123,22 +116,16 @@ class UniPoly:
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree() - other.degree() + 1)
-        r = list(self.coeffs)
         d = other.degree()
-        lead = other.leading()
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
+        lead, lower = other.coeffs[d], other.coeffs[:d]
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(r) - d)
+        # long division: step k clears r[k + d], which no later step reads
+        for k in range(len(q) - 1, -1, -1):
+            f = q[k] = r[k + d] / lead
+            for i, c in enumerate(lower):
                 r[k + i] -= f * c
-            r.pop()
-        return UniPoly(q), UniPoly(r)
+        return UniPoly(q), UniPoly(r[:d])
 
     def primitive(self) -> "UniPoly":
         """Divide out the content (positive rational), preserving signs."""
@@ -148,49 +135,49 @@ class UniPoly:
         g = math.gcd(*ints)
         return UniPoly([Fraction(v, g) for v in ints])
 
-    def to_json(self) -> list:
-        return [rat_to_str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(obj: list) -> "UniPoly":
-        return UniPoly([Fraction(s) for s in obj])
+def _power(base, e: int, one):
+    """base ** e by square-and-multiply; one is the unit of base's ring."""
+    out = one
+    while e > 0:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+def _remainders(a: UniPoly, b: UniPoly) -> List[UniPoly]:
+    """The nonzero ones of a and b, then the negated Euclidean remainders, each
+    made primitive, up to the last nonzero one: a gcd of a and b up to a
+    constant.  For (p, p') this is the Sturm chain of p."""
+    seq = [f for f in (a, b) if not f.is_zero()]
+    while len(seq) > 1:
+        _, r = seq[-2].divmod(seq[-1])
+        if r.is_zero():
+            break
+        seq.append((-r).primitive())
+    return seq
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd via the Euclidean algorithm with content removal."""
-    a, b = a.primitive() if not a.is_zero() else a, b.primitive() if not b.is_zero() else b
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, (r.primitive() if not r.is_zero() else r)
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.leading())
+    """Monic gcd: the last remainder of the primitive parts, made monic."""
+    seq = _remainders(a.primitive(), b.primitive())
+    if not seq:
+        return UniPoly.zero()
+    return seq[-1].scale(1 / seq[-1].leading())
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
     if p.is_zero():
         raise ValueError("indeterminate root set")
-    if p.degree() == 0:
-        return p
     g = poly_gcd(p, p.derivative())
     if g.degree() <= 0:
         return p
     q, r = p.divmod(g)
     assert r.is_zero()
     return q
-
-
-def _sturm_chain(p: UniPoly) -> List[UniPoly]:
-    chain = [p, p.derivative()]
-    if chain[-1].is_zero():
-        chain.pop()
-        return chain
-    while True:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        chain.append((-r).primitive())
-    return chain
 
 
 def _sign(x: Fraction) -> int:
@@ -203,18 +190,11 @@ def _variations(signs: List[int]) -> int:
 
 
 def _chain_signs_at(chain: List[UniPoly], t: Optional[Fraction], at_pos_inf: bool = False) -> List[int]:
-    out = []
-    for q in chain:
-        if q.is_zero():
-            out.append(0)
-        elif t is not None:
-            out.append(_sign(q.eval(t)))
-        else:
-            s = _sign(q.leading())
-            if not at_pos_inf and q.degree() % 2 == 1:
-                s = -s
-            out.append(s)
-    return out
+    """Signs of the chain's members at t; at +-infinity when t is None."""
+    if t is not None:
+        return [_sign(q.eval(t)) for q in chain]
+    direction = 1 if at_pos_inf else -1
+    return [_sign(q.leading()) * direction ** q.degree() for q in chain]
 
 
 def sturm_count(p: UniPoly, a: Optional[Coef] = None, b: Optional[Coef] = None) -> int:
@@ -229,13 +209,11 @@ def sturm_count(p: UniPoly, a: Optional[Coef] = None, b: Optional[Coef] = None) 
     """
     if p.is_zero():
         raise ValueError("indeterminate root set")
-    if p.degree() == 0:
-        return 0
     a = None if a is None else rat(a)
     b = None if b is None else rat(b)
     if a is not None and b is not None and a >= b:
         return 0
-    chain = _sturm_chain(p)
+    chain = _remainders(p, p.derivative())
     if (a is not None or b is not None) and chain[-1].degree() > 0:
         chain = [q.divmod(chain[-1])[0] for q in chain]
     va = _variations(_chain_signs_at(chain, a, at_pos_inf=False))
@@ -349,14 +327,7 @@ class MPoly:
         return MPoly(self.vars, {e: c * k for e, c in self.terms.items()})
 
     def pow(self, e: int) -> "MPoly":
-        out = MPoly.const(self.vars, 1)
-        base = self
-        while e > 0:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, MPoly.const(self.vars, 1))
 
     def _check(self, other: "MPoly"):
         if self.vars != other.vars:
@@ -394,13 +365,10 @@ class MPoly:
         """Coefficient list (ascending) viewing self as univariate in name."""
         i = self.vars.index(name)
         d = max((e[i] for e in self.terms), default=0)
-        out = [MPoly.zero(self.vars) for _ in range(d + 1)]
+        parts: List[Dict[Exponent, Fraction]] = [{} for _ in range(d + 1)]
         for e, c in self.terms.items():
-            k = e[i]
-            rest = list(e)
-            rest[i] = 0
-            out[k] = out[k] + MPoly(self.vars, {tuple(rest): c})
-        return out
+            parts[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+        return [MPoly(self.vars, terms) for terms in parts]
 
     def leading_term(self) -> Tuple[Exponent, Fraction]:
         """Leading term under graded-lex order."""
@@ -487,8 +455,8 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     the standard caveat: a specialization that kills a leading coefficient
     can force a spurious zero.  Both inputs constant in `name` is an error.
     """
-    dp = p.degree_in(name) if not p.is_zero() else -1
-    dq = q.degree_in(name) if not q.is_zero() else -1
+    dp = p.degree_in(name)
+    dq = q.degree_in(name)
     if dp <= 0 and dq <= 0:
         raise ValueError("both polynomials constant in the eliminated variable")
     if p.is_zero() or q.is_zero():
@@ -496,23 +464,20 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     pc = p.coeffs_in(name)
     qc = q.coeffs_in(name)
     if dp == 0:
-        return p.coeffs_in(name)[0].pow(dq)
+        return pc[0].pow(dq)
     if dq == 0:
-        return q.coeffs_in(name)[0].pow(dp)
+        return qc[0].pow(dp)
     n = dp + dq
     ring = p.vars
     zero = MPoly.zero(ring)
     mat: List[List[MPoly]] = []
-    for i in range(dq):
-        row = [zero] * n
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        mat.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        mat.append(row)
+    # Sylvester rows: dq shifted copies of p's coefficients, then dp of q's
+    for coeffs, copies in ((pc, dq), (qc, dp)):
+        for i in range(copies):
+            row = [zero] * n
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            mat.append(row)
     return _bareiss_det(mat, ring)
 
 
@@ -536,9 +501,7 @@ class RationalCurve:
         s = rat(s)
         return self.x_den.eval(s) == 0 or self.y_den.eval(s) == 0 or self.z_den.eval(s) == 0
 
-    def point_at(self, s: Coef):
-        from .exact import Vec3
-
+    def point_at(self, s: Coef) -> Vec3:
         s = rat(s)
         return Vec3(
             self.x_num.eval(s) / self.x_den.eval(s),
@@ -564,7 +527,6 @@ def restrict_to_curve(f: MPoly, curve: RationalCurve) -> UniPoly:
     dx = f.degree_in("x")
     dy = f.degree_in("y")
     dz = f.degree_in("z")
-    dx, dy, dz = max(dx, 0), max(dy, 0), max(dz, 0)
     xp = [curve.x_num.pow(i) * curve.x_den.pow(dx - i) for i in range(dx + 1)]
     yp = [curve.y_num.pow(j) * curve.y_den.pow(dy - j) for j in range(dy + 1)]
     zp = [curve.z_num.pow(k) * curve.z_den.pow(dz - k) for k in range(dz + 1)]

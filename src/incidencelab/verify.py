@@ -324,9 +324,11 @@ def anchored_pair_trial(rng):
 
 
 def through_pair_trial(rng, on_circle: bool, den: int):
-    """Two points sampled on one random anchored circle, or two random points
-    with |coordinates| <= 2 and denominators <= den (SKIP when rejected): a
-    circle returned through them holds both.  Returns whether one was."""
+    """Two points sampled on one random anchored circle, which must come back
+    (two distinct points of it are never collinear with the origin), or two
+    random points with |coordinates| <= 2 and denominators <= den (SKIP when
+    rejected): a circle returned through them holds both.  Returns whether
+    one was."""
     if on_circle:
         g = gens.rand_anchored_circle(rng)
         p, q = anc.anchored_point_sample(g, rng), anc.anchored_point_sample(g, rng)
@@ -336,6 +338,8 @@ def through_pair_trial(rng, on_circle: bool, den: int):
         got = anc.anchored_through_pair(p, q)
     except ValueError:
         return SKIP
+    if on_circle and got != g:
+        return f"through-pair circle {got} is not the sampled {g}: {p}, {q}"
     if got is not None and not (anc.anchored_incident(p, got) and anc.anchored_incident(q, got)):
         return f"through-pair circle misses its points: {p}, {q}"
     return got is not None

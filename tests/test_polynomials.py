@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from incidencelab.polynomials import (
     MPoly,
@@ -235,3 +237,57 @@ def test_cauchy_bound_contains_roots():
     p = upoly(-6, 11, -6, 1)  # roots 1, 2, 3
     assert cauchy_root_bound(p) > 3
     assert sturm_count(p, -cauchy_root_bound(p), cauchy_root_bound(p)) == 3
+
+
+ROOT = st.builds(Fraction, st.integers(-2 ** 32, 2 ** 32), st.integers(1, 2 ** 16))
+HUGE = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200).filter(bool), st.integers(1, 2 ** 64))
+COEF = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 32))
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two polynomials over shared roots, each root a linear factor of
+    multiplicity 0-3 on each side, times up to 4 random coefficients and a
+    huge scalar; then two distinct endpoints, often roots themselves."""
+    roots = draw(st.lists(ROOT, min_size=1, max_size=5, unique=True))
+
+    def side():
+        p = UniPoly.const(draw(HUGE))
+        for r in roots:
+            p = p * upoly(-r, 1).pow(draw(st.integers(0, 3)))
+        extra = UniPoly(draw(st.lists(COEF, max_size=4)))
+        return p if extra.is_zero() else p * extra
+
+    a, b = side(), side()
+    ends = draw(st.lists(st.one_of(st.sampled_from(roots), ROOT), min_size=2, max_size=2, unique=True))
+    return a, b, sorted(ends)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(factored_pairs())
+def test_remainder_algorithms_match_sympy_at_huge_magnitude(case):
+    sympy = pytest.importorskip("sympy")
+    a, b, (lo, hi) = case
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], t, domain="QQ")
+
+    def from_sympy_monic(P):
+        return UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(P.monic().all_coeffs())])
+
+    def monic(p):
+        return p.scale(1 / p.leading())
+
+    A, B = to_sympy(a), to_sympy(b)
+    q, r = a.divmod(b)
+    assert q * b + r == a and r.degree() < b.degree()
+    assert poly_gcd(a, b) == from_sympy_monic(sympy.gcd(A, B))
+    assert monic(square_free_part(a)) == from_sympy_monic(sympy.sqf_part(A))
+    # count_roots counts distinct roots in a closed interval
+    assert sturm_count(a) == A.count_roots()
+    on_lo, on_hi = int(a.eval(lo) == 0), int(a.eval(hi) == 0)
+    slo, shi = (sympy.Rational(e.numerator, e.denominator) for e in (lo, hi))
+    assert sturm_count(a, lo, hi) == A.count_roots(slo, shi) - on_lo - on_hi
+    assert sturm_count(a, lo, None) == A.count_roots(inf=slo) - on_lo
+    assert sturm_count(a, None, hi) == A.count_roots(sup=shi) - on_hi
