@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rand_tan_half, rat, solve2
+from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rand_tan_half, rat
 from .polynomials import MPoly, RationalCurve, UniPoly, XYZ
 from .tangency import Circle2, DirectedPoint
 
@@ -66,25 +66,18 @@ def anchored_incident(p: Vec3, g: AnchoredCircle) -> bool:
 def anchored_through_pair(p: Vec3, q: Vec3) -> Optional[AnchoredCircle]:
     """The unique anchored circle through p, q, and the origin, if one exists.
 
-    The candidate center is solved linearly inside span{p, q}; it yields an
-    anchored circle iff additionally |c|^2 = 1, which is an exact rational
-    test.  Collinear or coincident triples (with the origin) are rejected.
+    Its center is the circumcenter of o, p and q, c = (|p|^2 q - |q|^2 p) x n
+    / (2|n|^2) with n = p x q, and it exists iff |c|^2 = 1, an exact rational
+    test.  Triples collinear with the origin (n = 0, which covers p or q at
+    the origin and p = q) are rejected.
     """
-    if p.is_zero() or q.is_zero() or p == q or p.cross(q).is_zero():
+    n = p.cross(q)
+    if n.is_zero():
         raise ValueError("degenerate triple")
-    # c = lam*p + mu*q with 2 c.p = |p|^2 and 2 c.q = |q|^2
-    sol = solve2(
-        2 * p.norm2(), 2 * p.dot(q),
-        2 * p.dot(q), 2 * q.norm2(),
-        p.norm2(), q.norm2(),
-    )
-    if sol is None:
-        raise ValueError("degenerate triple")
-    lam, mu = sol
-    c = p.scale(lam) + q.scale(mu)
+    c = (q.scale(p.norm2()) - p.scale(q.norm2())).cross(n).scale(Fraction(1) / (2 * n.norm2()))
     if c.norm2() != 1:
         return None
-    return AnchoredCircle(c, p.cross(q))
+    return AnchoredCircle(c, n)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Any, List, Optional, Tuple
 from .dual3 import circle_dual, dp_dual_line, rich_planes, rich_planes_to_json
 from .engine import CSV_HEADER, bound_ratio, count, exponent_fit, t_rich_points
 from .exact import Vec3
-from .generators import GenSpec, InfeasibleSpecError, Instance, certify, gen, st_grid_k
+from .generators import KINDS, GenSpec, InfeasibleSpecError, Instance, certify, gen, st_grid_k
 from .partition import PartitionError, build_partition, classify
 from .verify import run_suite
 
@@ -51,7 +51,7 @@ class Option:
 
 
 OPTIONS = {
-    "kind": Option("random-tangency", INSTANCE),
+    "kind": Option("random-tangency", INSTANCE, choices=KINDS),
     "m": Option(100, INSTANCE),
     "n": Option(100, INSTANCE),
     "input": Option(None, INSTANCE),

@@ -1,9 +1,9 @@
-"""Exact rational scalars, small fixed-dimension vectors, and tiny linear solves.
+"""Exact rational scalars and small fixed-dimension vectors.
 
 Every coordinate in this package is a fractions.Fraction.  This module adds
 the wire format for rationals ("num/den" strings, den omitted when 1),
 2- and 3-vectors with the handful of products the constructions need, and
-exact 2x2 / 3x3 solves.  All values are immutable.
+the 3x3 determinant.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 RatLike = Union[Fraction, int]
 
@@ -53,10 +53,6 @@ class Vec2:
 
     def dot(self, other: "Vec2") -> Fraction:
         return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Vec2") -> Fraction:
-        """Scalar z-component of the 2D cross product."""
-        return self.x * other.y - self.y * other.x
 
     def norm2(self) -> Fraction:
         return self.dot(self)
@@ -135,19 +131,6 @@ def int_vec3(v: Vec3) -> Tuple[int, int, int, int]:
 def rand_tan_half(rng) -> Fraction:
     """Seeded rational rotation parameter (the tangent of a half angle)."""
     return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
-
-
-def solve2(
-    a11: Fraction, a12: Fraction, a21: Fraction, a22: Fraction,
-    b1: Fraction, b2: Fraction,
-) -> Optional[Tuple[Fraction, Fraction]]:
-    """Solve the 2x2 system exactly; None when the determinant vanishes."""
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        return None
-    x = (b1 * a22 - a12 * b2) / det
-    y = (a11 * b2 - b1 * a21) / det
-    return x, y
 
 
 def det3(r0: Vec3, r1: Vec3, r2: Vec3) -> Fraction:

@@ -53,21 +53,6 @@ class GenSpec:
         if self.z_levels < 1:
             raise InfeasibleSpecError("z_levels must be at least 1")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-            "coord_range": self.coord_range,
-            "den_bound": self.den_bound,
-            "z_levels": self.z_levels,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GenSpec":
-        return GenSpec(**{k: obj[k] for k in obj})
-
 
 @dataclass
 class Instance:
@@ -114,11 +99,11 @@ def _rand_circle(rng, mag=100, den=100) -> Tuple[Circle2, Vec2]:
             return Circle2(w, (p - w).norm2()), p
 
 
-def rand_anchored_circle(rng, mag=5, den=8) -> AnchoredCircle:
+def rand_anchored_circle(rng) -> AnchoredCircle:
     while True:
-        c = sphere_point(rand_rat(rng, mag, den), rand_rat(rng, mag, den))
+        c = sphere_point(rand_rat(rng, 5, 8), rand_rat(rng, 5, 8))
         e1, e2 = tangent_basis(c)
-        n = e1.scale(rand_rat(rng, mag, den)) + e2.scale(rand_rat(rng, mag, den))
+        n = e1.scale(rand_rat(rng, 5, 8)) + e2.scale(rand_rat(rng, 5, 8))
         if not n.is_zero():
             return AnchoredCircle(c, n)
 

@@ -39,6 +39,7 @@ from .polynomials import (
 )
 
 CELL_MODEL = "sign-vector classes (coarsening of connected components)"
+STARTS, SWEEPS, RETRIES = 40, 4, 6  # search starts (grown per retry), improvement sweeps, retries per level
 
 
 class PartitionError(Exception):
@@ -54,7 +55,6 @@ class PartitionPoly:
     balances: List[float]  # achieved epsilon per level
     epsilon: float
     seed: int
-    cell_model: str = CELL_MODEL
 
     @property
     def degree_budget(self) -> int:
@@ -67,19 +67,8 @@ class PartitionPoly:
             "balances": self.balances,
             "epsilon": self.epsilon,
             "seed": self.seed,
-            "cell_model": self.cell_model,
+            "cell_model": CELL_MODEL,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PartitionPoly":
-        return PartitionPoly(
-            [MPoly.from_json(f) for f in obj["factors"]],
-            list(obj["level_degrees"]),
-            list(obj["balances"]),
-            obj["epsilon"],
-            obj["seed"],
-            obj.get("cell_model", CELL_MODEL),
-        )
 
 
 @dataclass
@@ -142,14 +131,10 @@ def _signs(cleared: Sequence[Tuple[int, int, int, int]], f: MPoly) -> List[int]:
     With f scaled to integer coefficients C, f(p) has the sign of
     sum C X^i Y^j Z^k D^(deg - i - j - k).
     """
+    if f.vars != XYZ:
+        raise ValueError("signs expect a polynomial over (x, y, z)")
     *coefs, _ = clear_denominators(*f.terms.values())
-    axes = [XYZ.index(v) for v in f.vars]
-    terms = []
-    for e, c in zip(f.terms, coefs):
-        ex = [0, 0, 0]
-        for axis, k in zip(axes, e):
-            ex[axis] = k
-        terms.append((*ex, c))
+    terms = [(*e, c) for e, c in zip(f.terms, coefs)]
     deg = f.total_degree()
     out = []
     for X, Y, Z, D in cleared:
@@ -228,7 +213,6 @@ def _search_level(
     target: float,
     rng: random.Random,
     starts: int,
-    sweeps: int,
 ) -> Tuple[float, np.ndarray]:
     """Randomized hyperplane search + local coefficient improvement.
 
@@ -245,7 +229,7 @@ def _search_level(
             c[rng.randrange(n_mono - 1)] = 1.0
         vals = vals_matrix[:, 1:] @ c
         theta, score = _best_constant(vals, labels, sizes, target)
-        for _ in range(sweeps):
+        for _ in range(SWEEPS):
             improved = False
             order = list(range(n_mono - 1))
             rng.shuffle(order)
@@ -271,18 +255,11 @@ def _search_level(
     return best_theta, best_c
 
 
-def _snap(value: float, max_den: int = 1 << 16) -> Fraction:
-    return Fraction(value).limit_denominator(max_den)
-
-
 def build_partition(
     points: Sequence[Vec3],
     levels: int,
     epsilon: float,
     seed: int = 0,
-    starts: int = 40,
-    sweeps: int = 4,
-    retries: int = 6,
 ) -> PartitionPoly:
     """Build a factored partitioning polynomial with verified balance.
 
@@ -318,12 +295,9 @@ def build_partition(
             lift_degree = d
         target = (1 + epsilon) * m / (2 ** level)
         accepted = None
-        for attempt in range(retries):
-            theta, c = _search_level(
-                vals_matrix, labels, sizes, target * 0.999, rng,
-                starts=starts * (attempt + 1), sweeps=sweeps,
-            )
-            coeffs = [_snap(-theta)] + [Fraction(int(v)) for v in c]
+        for attempt in range(RETRIES):
+            theta, c = _search_level(vals_matrix, labels, sizes, target * 0.999, rng, STARTS * (attempt + 1))
+            coeffs = [Fraction(-theta).limit_denominator(1 << 16)] + [Fraction(int(v)) for v in c]
             g = _poly_from_coeffs(monos, coeffs)
             if g.is_zero():
                 continue

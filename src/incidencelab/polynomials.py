@@ -381,12 +381,6 @@ class MPoly:
             "terms": {",".join(map(str, e)): rat_to_str(c) for e, c in sorted(self.terms.items())},
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "MPoly":
-        variables = tuple(obj["vars"])
-        terms = {tuple(int(k) for k in key.split(",")): Fraction(val) for key, val in obj["terms"].items()}
-        return MPoly(variables, terms)
-
 
 XYZ = ("x", "y", "z")
 

@@ -26,7 +26,7 @@ from . import dual3
 from . import engine as eng
 from . import generators as gens
 from . import partition as part
-from .exact import Vec2, Vec3, det3, rand_tan_half
+from .exact import Vec2, Vec3, rand_tan_half
 from .generators import _rand_circle, _rand_dp, rand_rat
 from .polynomials import UniPoly, poly_gcd, restrict_to_curve, sturm_count
 from .tangency import (
@@ -228,8 +228,8 @@ def _pair_uniqueness(rng, scale) -> CheckResult:
 
 def engineered_triple_trial(rng):
     """Three directed points tangent to one random circle: when all three
-    pairwise common circles exist (SKIP otherwise), their centers coincide,
-    so they are collinear."""
+    pairwise common circles exist (SKIP otherwise), each is that circle, so
+    their centers coincide and are collinear."""
     c, base = _rand_circle(rng)
     dps = [tangent_point_sample(c, base, rng) for _ in range(3)]
     if len(set(dps)) < 3:
@@ -237,8 +237,8 @@ def engineered_triple_trial(rng):
     circles = [common_circle(a, b) for a, b in combinations(dps, 2)]
     if any(cc is None for cc in circles):
         return SKIP
-    if det3(*(Vec3(cc.center.x, cc.center.y, 1) for cc in circles)) != 0:
-        return f"non-collinear centers from one-circle triple {dps}"
+    if any(cc != c for cc in circles):
+        return f"common circles {circles} of one-circle triple {dps} are not its circle {c}"
     return True
 
 
@@ -804,15 +804,13 @@ def _cli_reproducibility(rng, scale) -> CheckResult:
     return True, "subcommand output reproducible modulo the timing field"
 
 
-def run_suite(quick: bool = False, seed: int = 20260810, names=None,
-              log=print) -> bool:
-    """Run checks (all by default); returns True when everything passed."""
+def run_suite(quick: bool = False, seed: int = 20260810, log=print) -> bool:
+    """Run every check; returns True when everything passed."""
     import zlib
 
     scale = 0.02 if quick else 1.0
-    selected = CHECKS if names is None else {k: CHECKS[k] for k in names}
     all_ok = True
-    for name, fn in selected.items():
+    for name, fn in CHECKS.items():
         rng = random.Random(seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
         try:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
@@ -23,6 +25,7 @@ from incidencelab.anchored import (
     lifted_contains,
     lifted_param,
     sphere_point,
+    tangent_basis,
 )
 from incidencelab.polynomials import restrict_to_curve
 from incidencelab.tangency import Circle2, DirectedPoint, is_tangent, tangent_circle
@@ -31,8 +34,6 @@ from incidencelab.tangency import Circle2, DirectedPoint, is_tangent, tangent_ci
 def rand_anchored(rng):
     while True:
         c = sphere_point(rand_rat(rng, 3, 8), rand_rat(rng, 3, 8))
-        from incidencelab.anchored import tangent_basis
-
         e1, e2 = tangent_basis(c)
         n = e1.scale(rand_rat(rng, 5, 6)) + e2.scale(rand_rat(rng, 5, 6))
         if not n.is_zero():
@@ -95,6 +96,38 @@ class TestThroughPair:
                 continue
             if got is not None:
                 assert anchored_incident(p, got) and anchored_incident(q, got)
+
+
+# Numerators up to 2^200 over denominators up to 2^64; the second branch
+# keeps both near the top, which the first one rarely draws.
+HUGE = (st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 64))
+        | st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from((1, -1)),
+                    st.integers(2 ** 199, 2 ** 200), st.integers(2 ** 63, 2 ** 64)))
+THROUGH_PAIR = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                        phases=(Phase.generate,))
+
+
+@THROUGH_PAIR
+@given(HUGE, HUGE, HUGE, HUGE, HUGE.filter(bool), HUGE.filter(bool))
+def test_through_pair_recovers_planted_circle_at_huge_magnitude(a, b, s, t, t1, t2):
+    assume((s, t) != (0, 0) and t1 != t2)
+    c = sphere_point(a, b)
+    e1, e2 = tangent_basis(c)
+    g = AnchoredCircle(c, e1.scale(s) + e2.scale(t))
+    assert anchored_through_pair(anchored_point(g, t1), anchored_point(g, t2)) == g
+
+
+@THROUGH_PAIR
+@given(st.lists(HUGE | st.fractions(-2, 2, max_denominator=6), min_size=6, max_size=6))
+def test_through_pair_exists_iff_circumradius_is_one(coords):
+    p, q = Vec3(*coords[:3]), Vec3(*coords[3:])
+    n = p.cross(q)
+    assume(not n.is_zero())
+    got = anchored_through_pair(p, q)
+    # circumradius |p| |q| |p - q| / (2 |p x q|) of the triangle o, p, q
+    assert (got is not None) == (p.norm2() * q.norm2() * (p - q).norm2() == 4 * n.norm2())
+    if got is not None:
+        assert anchored_incident(p, got) and anchored_incident(q, got)
 
 
 class TestDualParams:

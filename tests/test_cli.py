@@ -20,6 +20,7 @@ def run(argv):
 class TestExitCodes:
     def test_usage_error(self):
         assert_one_line_exit(["count", "--mode", "warp"], cli.EXIT_USAGE)
+        assert_one_line_exit(["count", "--kind", "bogus"], cli.EXIT_USAGE)
 
     def test_unknown_command(self):
         assert_one_line_exit(["frobnicate"], cli.EXIT_USAGE)
@@ -102,9 +103,10 @@ class TestBadInput:
         ("partition", {"levels": "2"}),
         ("count", {"mode": "fast"}),
         ("count", {"format": "xml"}),
+        ("count", {"kind": "bogus"}),
         ("count", {"m": True}),
         ("count", {"out": 3}),
-    ], ids=["threads-str", "m-str", "levels-str", "mode-choice", "format-choice", "m-bool", "out-int"])
+    ], ids=["threads-str", "m-str", "levels-str", "mode-choice", "format-choice", "kind-choice", "m-bool", "out-int"])
     def test_config_value_of_wrong_type(self, tmp_path, command, fields):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "pencil", "m": 1, "n": 3, **fields}))
@@ -177,6 +179,8 @@ NOT_READ = [
     *(("verify", f) for f in ("--threads", "--format", "--out", "--mode", "--kind", "--m", "--n",
                               "--input", "--coord-range", "--den-bound", "--z-levels", "--histograms")),
 ]
+# Every field with choices, on every subcommand that takes it.
+CHOICE_FIELDS = [(c, key) for key, opt in cli.OPTIONS.items() if opt.choices for c in opt.commands]
 
 
 class TestFlagsPerCommand:
@@ -187,6 +191,16 @@ class TestFlagsPerCommand:
         assert_one_line_exit(argv, cli.EXIT_USAGE)
         _, _, err = run(argv)
         assert err.startswith(f"incidencelab: error: unrecognized arguments: {flag}")
+
+    @pytest.mark.parametrize("command, key", CHOICE_FIELDS, ids=[f"{c}-{k}" for c, k in CHOICE_FIELDS])
+    def test_bad_choice_is_a_usage_error(self, tmp_path, command, key):
+        flag_argv = [command, cli._flag(key), "bogus"]
+        assert_one_line_exit(flag_argv, cli.EXIT_USAGE)
+        assert "invalid choice: 'bogus'" in run(flag_argv)[2]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        assert_one_line_exit([command, "--config", str(cfg)], cli.EXIT_USAGE)
+        assert run([command, "--config", str(cfg)])[2].startswith(f"invalid config field {key}: ")
 
     def test_config_field_not_read_is_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ from incidencelab.exact import (
     primitive_int_vec3,
     rat_from_str,
     rat_to_str,
-    solve2,
 )
 
 
@@ -36,7 +35,6 @@ class TestVectors:
         assert a.cross(b) == Vec3(0, 0, 1)
         assert a.dot(b) == 0
         assert Vec2(3, 4).norm2() == 25
-        assert Vec2(1, 2).cross(Vec2(3, 4)) == -2
 
     def test_json_round_trip(self):
         v = Vec3(Fraction(1, 3), Fraction(-2), Fraction(7, 5))
@@ -44,12 +42,6 @@ class TestVectors:
 
 
 class TestSolves:
-    def test_solve2(self):
-        assert solve2(Fraction(1), Fraction(1), Fraction(1), Fraction(-1),
-                      Fraction(3), Fraction(1)) == (Fraction(2), Fraction(1))
-        assert solve2(Fraction(1), Fraction(2), Fraction(2), Fraction(4),
-                      Fraction(1), Fraction(2)) is None
-
     def test_det3(self):
         assert det3(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)) == 1
         assert det3(Vec3(1, 2, 3), Vec3(2, 4, 6), Vec3(0, 1, 1)) == 0

@@ -80,16 +80,8 @@ class TestBuild:
         # one side, so bisection can never meet the bound
         pts = [Vec3(1, 1, 1)] * 8
         with pytest.raises(PartitionError) as err:
-            build_partition(pts, 1, 0.01, seed=8, starts=2, retries=1)
+            build_partition(pts, 1, 0.01, seed=8)
         assert err.value.best_epsilon > 0.01
-
-    def test_json_round_trip(self):
-        rng = random.Random(9)
-        pts = rand_points(rng, 32)
-        pp = build_partition(pts, 2, 0.3, seed=10)
-        again = PartitionPoly.from_json(pp.to_json())
-        assert [f.terms for f in again.factors] == [f.terms for f in pp.factors]
-        assert again.level_degrees == pp.level_degrees
 
     def test_search_sees_the_nonempty_sign_prefix_classes(self, monkeypatch):
         # every 5th point is put on the zero set of each factor: from level 2
@@ -430,12 +422,10 @@ class TestClassifyCleared:
         assert ca.sign_vectors[2] == (0, 0)
 
     def test_factor_from_json_with_fractions(self):
-        f = MPoly.from_json({"vars": ["x", "y", "z"],
-                             "terms": {"0,0,0": "-1/3", "1,0,0": "2/5", "0,1,1": "7/2", "2,0,0": "-3/7",
-                                       "0,0,3": "5/11"}})
-        reordered = MPoly.from_json({"vars": ["z", "x", "y"], "terms": {"1,1,0": "3/4", "0,0,2": "-1/6",
-                                                                        "0,0,0": "1/9"}})
-        pp = PartitionPoly.from_json(factors_partition(f, reordered).to_json())
+        f = tri({(0, 0, 0): Fraction(-1, 3), (1, 0, 0): Fraction(2, 5), (0, 1, 1): Fraction(7, 2),
+                 (2, 0, 0): Fraction(-3, 7), (0, 0, 3): Fraction(5, 11)})
+        g = tri({(1, 0, 1): Fraction(3, 4), (0, 2, 0): Fraction(-1, 6), (0, 0, 0): Fraction(1, 9)})
+        pp = factors_partition(f, g)
         rng = random.Random(31)
         pts = [Vec3(rand_rat(rng, 3, 9), rand_rat(rng, 3, 9), rand_rat(rng, 3, 9)) for _ in range(300)]
         pts.append(Vec3(0, Fraction(-8, 231), 1))  # on the zero set of f
@@ -443,3 +433,8 @@ class TestClassifyCleared:
         assert ca.sign_vectors == signs_by_eval(pts, pp)
         assert ca.sign_vectors[-1][0] == 0
         assert len(set(ca.sign_vectors)) > 2
+
+    def test_factor_over_other_variable_order_rejected(self):
+        pp = factors_partition(MPoly(("z", "x", "y"), {(1, 1, 0): 1}))
+        with pytest.raises(ValueError, match=r"over \(x, y, z\)"):
+            classify([Vec3(1, 2, 3)], pp)
