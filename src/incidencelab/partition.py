@@ -153,13 +153,26 @@ def _best_constant(
 ) -> Tuple[float, Tuple[float, float]]:
     """Scan constant offsets: thresholds between consecutive pooled values.
 
-    A threshold scores the largest side of any class, then the sum over
-    classes of (above - below)^2.  One sort of all values scores every
-    threshold: passing the point that is the w-th of its class (size n) in
-    sorted order leaves w + 1 of that class below and n - w at or above, and
-    adds 4 + 8w - 4n to the sum of squares, so prefix maxima and prefix sums
-    give both scores.  A threshold equal to a pooled value leaves that
-    value's points on neither side; such thresholds are counted directly.
+    A threshold scores the largest side of any class (worst), then the sum
+    over classes of (above - below)^2 (imbalance).  One sort of all values
+    scores every threshold: passing the point that is the w-th of its class
+    (size n) in sorted order leaves w + 1 of that class below and n - w at
+    or above, and adds 4 + 8w - 4n to the sum of squares, so prefix maxima
+    and prefix sums give both scores.  The thresholds are pooled[0] - 1, the
+    midpoints of neighbouring pooled values and pooled[-1] + 1.  When each
+    threshold lies strictly between its neighbouring values (so all values
+    are distinct), threshold t has exactly t points below it and the prefix
+    arrays are the scores.  Otherwise (equal values, a midpoint rounded
+    onto a neighbour, an overflowed sum, NaN or inf) a threshold equal to a
+    pooled value leaves that value's points on neither side, and such
+    thresholds are counted directly.
+
+    The result minimises (excess, imbalance) with excess = max(0, worst -
+    target), lowest threshold first among ties.  Excess does not decrease as
+    the integer worst grows, so for a target >= 0 the minimal excess is
+    reached exactly where worst <= max(min worst, target); the first
+    minimal imbalance among those wins.
+
     labels holds each point's class, with len(sizes) - 1 for a point in
     none, whose size must be 0.  Labels enter only through ranks within a
     class, sizes and bincounts, so renumbering the classes changes nothing.
@@ -169,41 +182,56 @@ def _best_constant(
         return 0.0, (float("inf"), float("inf"))
     order = np.argsort(vals)
     ordered = vals[order]
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.append(np.flatnonzero(first), m)
-    pooled = ordered[starts[:-1]]
-    mids = (pooled[:-1] + pooled[1:]) / 2
-    thetas = np.concatenate(([pooled[0] - 1.0], mids, [pooled[-1] + 1.0]))
-    if (thetas[1:] >= pooled).all() and (thetas[:-1] <= pooled).all():
-        # threshold t lies between pooled values t-1 and t, maybe rounded onto
-        # one; these comparisons cost a seventh of two searchsorted calls
-        ranks = np.arange(thetas.size)
-        lo_rank = ranks - np.append(False, thetas[1:] == pooled)
-        hi_rank = ranks + np.append(thetas[:-1] == pooled, False)
-    else:  # a sum overflowed, or NaN
-        lo_rank = np.searchsorted(pooled, thetas, side="left")
-        hi_rank = np.searchsorted(pooled, thetas, side="right")
-    lo, hi = starts[lo_rank], starts[hi_rank]  # sorted positions below lo are below, from hi on above
+    thetas = np.empty(m + 1)
+    np.add(ordered[:-1], ordered[1:], out=thetas[1:-1])
+    thetas[1:-1] /= 2
+    thetas[0], thetas[-1] = ordered[0] - 1.0, ordered[-1] + 1.0
+    distinct = (thetas[:-1] < ordered).all() and (thetas[1:] > ordered).all()
     lab = labels[order]
     # w: the number of points of the same class earlier in sorted order
     by_class = np.argsort(lab, kind="stable")
     w = np.empty(m, dtype=np.int64)
     w[by_class] = np.arange(m) - (np.cumsum(sizes) - sizes)[lab[by_class]]
     n = sizes[lab]
-    inside = n > 0
-    below_max = np.concatenate(([0], np.maximum.accumulate(np.where(inside, w + 1, 0))))
-    above_max = np.concatenate((np.maximum.accumulate((n - w)[::-1])[::-1], [0]))
-    squares = np.concatenate(([0], np.cumsum(np.where(inside, 4 + 8 * w - 4 * n, 0)))) + sizes @ sizes
-    worst = np.maximum(below_max[lo], above_max[hi]).astype(float)
-    imbalance = squares[lo].astype(float)
-    for t in np.flatnonzero(lo != hi):
-        inner = np.bincount(lab[:lo[t]], minlength=sizes.size) + np.bincount(lab[:hi[t]], minlength=sizes.size)
-        imbalance[t] = float(((sizes - inner)[:-1] ** 2).sum())
-    excess = np.maximum(0.0, worst - target)
-    best = int(np.lexsort((imbalance, excess))[0])
-    return float(thetas[best]), (float(excess[best]), float(imbalance[best]))
+    # prefix scores: index j covers the first j points in sorted order
+    below_max = np.empty(m + 1, dtype=np.int64)
+    above_max = np.empty(m + 1, dtype=np.int64)
+    squares = np.empty(m + 1, dtype=np.int64)
+    below_max[0] = above_max[m] = 0
+    squares[0] = sizes @ sizes
+    np.maximum.accumulate(np.minimum(w + 1, n), out=below_max[1:])  # w < n in a class, n = 0 in none
+    np.maximum.accumulate((n - w)[::-1], out=above_max[-2::-1])
+    np.cumsum(np.where(n > 0, 4 + 8 * w - 4 * n, 0), out=squares[1:])
+    squares[1:] += squares[0]
+    if distinct:
+        worst = np.maximum(below_max, above_max)
+        imbalance = squares
+    else:
+        first = np.empty(m, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.append(np.flatnonzero(first), m)
+        pooled = ordered[starts[:-1]]
+        thetas = np.concatenate(([pooled[0] - 1.0], (pooled[:-1] + pooled[1:]) / 2, [pooled[-1] + 1.0]))
+        if (thetas[1:] >= pooled).all() and (thetas[:-1] <= pooled).all():
+            # threshold t lies between pooled values t-1 and t, maybe rounded
+            # onto one; these comparisons cost a seventh of two searchsorted calls
+            ranks = np.arange(thetas.size)
+            lo_rank = ranks - np.append(False, thetas[1:] == pooled)
+            hi_rank = ranks + np.append(thetas[:-1] == pooled, False)
+        else:  # a sum overflowed, or NaN
+            lo_rank = np.searchsorted(pooled, thetas, side="left")
+            hi_rank = np.searchsorted(pooled, thetas, side="right")
+        lo, hi = starts[lo_rank], starts[hi_rank]  # sorted positions below lo are below, from hi on above
+        worst = np.maximum(below_max[lo], above_max[hi])
+        imbalance = squares[lo]
+        for t in np.flatnonzero(lo != hi):
+            inner = np.bincount(lab[:lo[t]], minlength=sizes.size) + np.bincount(lab[:hi[t]], minlength=sizes.size)
+            imbalance[t] = ((sizes - inner)[:-1] ** 2).sum()
+    least = np.flatnonzero(worst <= max(worst.min(), target))
+    best = int(least[imbalance[least].argmin()])
+    excess = max(0.0, float(worst[best]) - target)
+    return float(thetas[best]), (excess, float(imbalance[best]))
 
 
 def _search_level(

@@ -6,6 +6,8 @@ is identical.  Criteria that verify also checks run verify's trial kernels
 at their own seeds, trial counts and loop rules.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -118,6 +120,9 @@ def test_partition_contract():
     rng = random.Random(107)
     pts = [Vec3(rr(rng), rr(rng), rr(rng)) for _ in range(4096)]
     pp = build_partition(pts, 4, 0.1, seed=20260810)
+    # the partition itself is pinned: a search speed-up must leave it ==
+    digest = hashlib.sha256(json.dumps(pp.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == "86f068cd27c0010b59870fa9bde29e73298346da95381e720452491f1fc65e8b"
     ca = classify(pts, pp)
     limit = 1.1 * 4096 / 16
     assert ca.max_population() <= limit, f"{ca.max_population()} > {limit}"

@@ -345,6 +345,48 @@ class TestBestConstant:
             for target in (m / 2 ** level, 1.1 * m / 2 ** level):
                 self.check(vals, [c for c in classes if c.size], target)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_benchmark_shape(self, seed):
+        # the level-4 search: 4096 distinct values, 8 classes in uint8 labels,
+        # some points on an earlier zero set (the spare label)
+        rng = np.random.default_rng(seed)
+        m = 4096
+        vals = rng.normal(size=m)
+        assert np.unique(vals).size == m
+        owner = rng.integers(-1, 8, m)  # -1: on the zero set
+        classes = [np.flatnonzero(owner == c) for c in range(8)]
+        assert class_labels(classes, m)[0].dtype == np.uint8
+        for target in (0.0, m / 16, 1.1 * m / 16, float(m)):
+            self.check(vals, classes, target)
+        assert _best_constant(vals, *class_labels(classes, m), 0.0)[1][0] > 0
+        assert _best_constant(vals, *class_labels(classes, m), float(m))[1][0] == 0
+
+    @pytest.mark.parametrize("spare", [[1.0, 2.0, 3.0], [1.0, 1.0, 2.0]])
+    def test_lowest_threshold_wins_ties(self, spare):
+        # thresholds 0.5, 1.5, ... between the class's two values all split it
+        # 1 : 1 (worst 1, imbalance 0); the spare points decide nothing
+        vals = np.array([0.0, 10.0, *spare])
+        classes = [np.array([0, 1])]
+        for target in (0.0, 1.0):
+            self.check(vals, classes, target)
+            assert _best_constant(vals, *class_labels(classes, vals.size), target) == (0.5, (1.0 - target, 0.0))
+
+    @pytest.mark.parametrize("base", [1.0, 1e16, 1e300])
+    def test_distinct_values_one_ulp_apart(self, base):
+        # distinct values whose midpoints round onto a neighbour
+        rng = random.Random(repr(base))
+        for m in (2, 3, 17, 64):
+            vals = [base]
+            for _ in range(m - 1):
+                vals.append(np.nextafter(vals[-1], np.inf))
+            ordered = np.array(vals)
+            mids = (ordered[:-1] + ordered[1:]) / 2
+            assert ((mids == ordered[:-1]) | (mids == ordered[1:])).all()
+            vals = np.array(rng.sample(vals, m))
+            perm = rng.sample(range(m), m)
+            classes = [np.array(sorted(perm[k::2])) for k in range(2)]
+            self.check(vals, [c for c in classes if c.size], rng.choice([0.0, m / 4, m / 2]))
+
 
 def crossings_by_product(curve, pp):
     product = UniPoly.const(1)
