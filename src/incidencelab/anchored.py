@@ -138,13 +138,6 @@ def circle_from_params(params: DualAnchoredParams) -> AnchoredCircle:
     return AnchoredCircle(c, n)
 
 
-def h_p_contains(p: Vec3, g: AnchoredCircle) -> bool:
-    """Membership of g on the dual curve of p: exactly incidence of p on g."""
-    if p.is_zero():
-        raise ValueError("anchor point excluded")
-    return anchored_incident(p, g)
-
-
 def _rotate(v: Vec3, a: Vec3, t: Fraction) -> Vec3:
     """Rational (Cayley, tan-half) rotation of v, orthogonal to a, about the
     axis a: ((1 - |a|^2 t^2) v + 2 t (a x v)) / (1 + |a|^2 t^2)."""

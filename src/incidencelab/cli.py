@@ -170,6 +170,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise UsageError("config parse error: nested too deeply") from None
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from None
         if not isinstance(loaded, dict):
@@ -205,7 +207,7 @@ def _load_instance(cfg: dict) -> Tuple[Instance, int]:
     with open(cfg["input"]) as fh:
         try:
             inst = Instance.from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
             raise UsageError(f"invalid input {cfg['input']}: {type(exc).__name__}: {exc}") from None
     try:
         return inst, certify(inst)

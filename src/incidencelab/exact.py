@@ -133,10 +133,6 @@ def rand_tan_half(rng) -> Fraction:
     return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
 
 
-def det3(r0: Vec3, r1: Vec3, r2: Vec3) -> Fraction:
-    return r0.dot(r1.cross(r2))
-
-
 def primitive_int_vec3(v: Vec3) -> Vec3:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
     if v.is_zero():

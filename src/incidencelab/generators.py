@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
@@ -78,6 +79,9 @@ class Instance:
         pts = [kind.point_type.from_json(o) for o in obj["points"]]
         cvs = [kind.curve_type.from_json(o) for o in obj["curves"]]
         pairs = [(i, j) for i, j in obj.get("planted_pairs", [])]
+        planted = obj.get("planted", len(pairs))
+        if type(planted) is not int or planted != len(pairs):
+            raise ValueError(f"planted is {planted!r} but {len(pairs)} planted pairs are listed")
         return Instance(kind.name, pts, cvs, pairs)
 
 
@@ -109,12 +113,18 @@ def rand_anchored_circle(rng) -> AnchoredCircle:
 
 
 def certify(instance: Instance) -> int:
-    """Re-check every planted pair with the engine's predicate; returns their number."""
+    """Re-check every planted pair with the engine's predicate; returns their
+    number.  The pairs must be distinct and their indices ints, not bools."""
     kind, pairs = _ENGINE_KIND[instance.kind], instance.planted_pairs
     m, n = len(instance.points), len(instance.curves)
     for i, j in pairs:
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < m and 0 <= j < n):
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"planted pair ({i}, {j}) is not two integers")
+        if not (0 <= i < m and 0 <= j < n):
             raise ValueError(f"planted pair ({i}, {j}) is out of range for {m} points and {n} curves")
+    if len(set(pairs)) < len(pairs):
+        (i, j), _ = Counter(pairs).most_common(1)[0]
+        raise ValueError(f"planted pair ({i}, {j}) is listed twice")
     ipts = {i: kind.int_point(instance.points[i]) for i in {i for i, _ in pairs}}
     icvs = {j: kind.int_curve(instance.curves[j]) for j in {j for _, j in pairs}}
     for i, j in pairs:

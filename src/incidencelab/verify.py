@@ -3,12 +3,16 @@
 Every invariant promised by a module is a named check here; the CLI verify
 subcommand runs them all and the test manifest asserts none is missing.
 Checks take a seeded rng and a scale factor (1.0 runs the full advertised
-trial counts; smaller scales are for smoke runs) and return (ok, message).
+trial counts; smaller scales are for smoke runs) and return their PASS
+message.  A check fails in one way only: it raises CheckFailed with the
+message for its FAIL line.  Any other exception is a crash, which run_suite
+reports as a failure too.
 
 The acceptance tests check several of the same invariants at their own
 seeds and trial counts.  One trial of each such check is a module-level
-kernel that both call: it draws from the rng and returns a failure message
-(a str), SKIP when the draw is degenerate, or a value the caller counts.
+kernel that both call: it draws from the rng, raises CheckFailed on a
+failure, and returns SKIP when the draw is degenerate or otherwise a value
+the caller counts.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List
 
 import numpy as np
 
@@ -46,8 +50,12 @@ from .tangency import (
     tangent_point_sample,
 )
 
-CheckResult = Tuple[bool, str]
-Check = Callable[[random.Random, float], CheckResult]
+
+class CheckFailed(Exception):
+    """A check or trial kernel found its invariant broken; the message says how."""
+
+
+Check = Callable[[random.Random, float], str]  # returns the PASS message
 
 CHECKS: Dict[str, Check] = {}
 
@@ -66,39 +74,28 @@ def _trials(base: int, scale: float, floor: int = 20) -> int:
 SKIP = None  # a kernel's result for a degenerate draw, which does not count
 
 
-def run_trials(results: Iterable) -> Tuple[Optional[str], list]:
-    """Consume kernel results up to the first failure message; returns that
-    message (None when every trial passed) and the results that count."""
-    counted = []
-    for result in results:
-        if isinstance(result, str):
-            return result, counted
-        if result is not SKIP:
-            counted.append(result)
-    return None, counted
-
-
-def _verdict(failure: Optional[str], message: str) -> CheckResult:
-    return (False, failure) if failure else (True, message)
+def run_trials(results: Iterable) -> list:
+    """The kernel results that count: every one that is not SKIP."""
+    return [result for result in results if result is not SKIP]
 
 
 # --- exact-kernel -----------------------------------------------------------
 
 
 @check("rational-exactness")
-def _rational_exactness(rng, scale) -> CheckResult:
+def _rational_exactness(rng, scale) -> str:
     for _ in range(_trials(10000, scale)):
         a, b = rand_rat(rng), rand_rat(rng)
         if (a + b) - b != a:
-            return False, f"(a+b)-b != a for {a}, {b}"
+            raise CheckFailed(f"(a+b)-b != a for {a}, {b}")
         c = Fraction(a.numerator * 7, a.denominator * 7) if a != 0 else a
         if c != a or (c.numerator, c.denominator) != (a.numerator, a.denominator):
-            return False, f"canonical form not unique for {a}"
-    return True, "rational arithmetic exact, canonical forms unique"
+            raise CheckFailed(f"canonical form not unique for {a}")
+    return "rational arithmetic exact, canonical forms unique"
 
 
 @check("sturm-vs-numeric")
-def _sturm_vs_numeric(rng, scale) -> CheckResult:
+def _sturm_vs_numeric(rng, scale) -> str:
     trials = _trials(10000, scale)
     skipped = 0
     for _ in range(trials):
@@ -121,12 +118,12 @@ def _sturm_vs_numeric(rng, scale) -> CheckResult:
             skipped += 1
             continue
         if got != len(distinct):
-            return False, f"sturm {got} vs numeric {len(distinct)} on {p.coeffs}"
-    return True, f"{trials} polynomials agreed ({skipped} numerically ambiguous skipped)"
+            raise CheckFailed(f"sturm {got} vs numeric {len(distinct)} on {p.coeffs}")
+    return f"{trials} polynomials agreed ({skipped} numerically ambiguous skipped)"
 
 
 @check("resultant-vs-gcd")
-def _resultant_vs_gcd(rng, scale) -> CheckResult:
+def _resultant_vs_gcd(rng, scale) -> str:
     from .polynomials import MPoly, resultant
 
     ring = ("t", "a", "b")
@@ -159,9 +156,9 @@ def _resultant_vs_gcd(rng, scale) -> CheckResult:
             g = poly_gcd(ps, qs)
             rv = r.substitute(sub).constant_value() if not r.is_zero() else Fraction(0)
             if (rv == 0) != (g.degree() >= 1):
-                return False, f"resultant/gcd mismatch at {sub}"
+                raise CheckFailed(f"resultant/gcd mismatch at {sub}")
             done += 1
-    return True, f"{done} specializations agreed with brute-force gcd"
+    return f"{done} specializations agreed with brute-force gcd"
 
 
 # --- plane-tangency ---------------------------------------------------------
@@ -180,30 +177,30 @@ def common_circle_trial(rng, on_circle: bool):
         return SKIP
     value, status = eval_F(a, b)
     if on_circle and value != 0:
-        return f"F = {value} on a pair tangent to one circle: {a}, {b}"
+        raise CheckFailed(f"F = {value} on a pair tangent to one circle: {a}, {b}")
     circle = common_circle(a, b)
     if status is FStatus.REGULAR and value == 0:
         if circle is None:
             # the only escape is a foot collapsing onto p or q
             w = _foot(a, b)
             if w != a.p and w != b.p:
-                return f"missing circle for regular F=0 pair {a}, {b}"
+                raise CheckFailed(f"missing circle for regular F=0 pair {a}, {b}")
         elif not (is_tangent(a, circle) and is_tangent(b, circle)):
-            return "returned circle fails tangency"
+            raise CheckFailed("returned circle fails tangency")
     elif circle is not None:
-        return "circle produced outside the regular F=0 branch"
+        raise CheckFailed("circle produced outside the regular F=0 branch")
     return circle is not None
 
 
 @check("common-circle-characterization")
-def _common_circle_char(rng, scale) -> CheckResult:
+def _common_circle_char(rng, scale) -> str:
     trials = _trials(100000, scale)
-    failure, _ = run_trials(common_circle_trial(rng, i >= trials // 2) for i in range(trials))
-    return _verdict(failure, f"{trials} pairs characterized with zero failures")
+    run_trials(common_circle_trial(rng, i >= trials // 2) for i in range(trials))
+    return f"{trials} pairs characterized with zero failures"
 
 
 @check("tangency-pair-uniqueness")
-def _pair_uniqueness(rng, scale) -> CheckResult:
+def _pair_uniqueness(rng, scale) -> str:
     # tangent circles to a ride the normal line; tangency to b is linear in
     # the parameter, so solving it searches all candidate second circles
     for _ in range(_trials(2000, scale)):
@@ -222,8 +219,8 @@ def _pair_uniqueness(rng, scale) -> CheckResult:
         if s != 0:
             cand = tangent_circle(a, s)
             if is_tangent(a, cand) and is_tangent(b, cand) and cand != got:
-                return False, f"second common circle found for {a}, {b}"
-    return True, "no coexisting second tangent circle found"
+                raise CheckFailed(f"second common circle found for {a}, {b}")
+    return "no coexisting second tangent circle found"
 
 
 def engineered_triple_trial(rng):
@@ -238,7 +235,7 @@ def engineered_triple_trial(rng):
     if any(cc is None for cc in circles):
         return SKIP
     if any(cc != c for cc in circles):
-        return f"common circles {circles} of one-circle triple {dps} are not its circle {c}"
+        raise CheckFailed(f"common circles {circles} of one-circle triple {dps} are not its circle {c}")
     return True
 
 
@@ -274,22 +271,20 @@ def random_triple_trial(rng):
     for (x, y), planted in zip(combinations((a, b, c), 2), (c1, c2, c3)):
         got = common_circle(x, y)
         if got != planted:
-            return f"common circle {got} of {x}, {y} is not the planted {planted}"
+            raise CheckFailed(f"common circle {got} of {x}, {y} is not the planted {planted}")
     return True
 
 
 @check("triple-collinearity")
-def _triple_collinearity(rng, scale) -> CheckResult:
-    failure, _ = run_trials(engineered_triple_trial(rng) for _ in range(_trials(10000, scale)))
-    if failure:
-        return False, failure
-    failure, planted = run_trials(random_triple_trial(rng) for _ in range(_trials(100000, scale)))
-    return _verdict(failure, f"one-circle triples collinear; {len(planted)} three-circle triples "
-                             "gave their planted common circles")
+def _triple_collinearity(rng, scale) -> str:
+    run_trials(engineered_triple_trial(rng) for _ in range(_trials(10000, scale)))
+    planted = run_trials(random_triple_trial(rng) for _ in range(_trials(100000, scale)))
+    return (f"one-circle triples collinear; {len(planted)} three-circle triples "
+            "gave their planted common circles")
 
 
 @check("orthogonal-circle-power")
-def _orthogonal_power(rng, scale) -> CheckResult:
+def _orthogonal_power(rng, scale) -> str:
     produced = 0
     for _ in range(_trials(5000, scale)):
         a = _rand_dp(rng)
@@ -302,8 +297,8 @@ def _orthogonal_power(rng, scale) -> CheckResult:
             continue
         produced += 1
         if not is_tangent(a, c) or power(w, c) != rho:
-            return False, f"orthogonal circle fails contracts for {a}, {w}, {rho}"
-    return True, f"{produced} constructed circles satisfy tangency and power exactly"
+            raise CheckFailed(f"orthogonal circle fails contracts for {a}, {w}, {rho}")
+    return f"{produced} constructed circles satisfy tangency and power exactly"
 
 
 # --- anchored-space ---------------------------------------------------------
@@ -317,9 +312,9 @@ def anchored_pair_trial(rng):
         return SKIP
     pts = anc.anchored_pair_intersections(g1, g2)
     if not (1 <= len(pts) <= 2) or not pts[0].is_zero():
-        return f"pair intersection bound violated: {len(pts)} points"
+        raise CheckFailed(f"pair intersection bound violated: {len(pts)} points")
     if not all(anc.anchored_incident(x, g1) and anc.anchored_incident(x, g2) for x in pts):
-        return "intersection point fails incidence"
+        raise CheckFailed("intersection point fails incidence")
     return True
 
 
@@ -339,35 +334,30 @@ def through_pair_trial(rng, on_circle: bool, den: int):
     except ValueError:
         return SKIP
     if on_circle and got != g:
-        return f"through-pair circle {got} is not the sampled {g}: {p}, {q}"
+        raise CheckFailed(f"through-pair circle {got} is not the sampled {g}: {p}, {q}")
     if got is not None and not (anc.anchored_incident(p, got) and anc.anchored_incident(q, got)):
-        return f"through-pair circle misses its points: {p}, {q}"
+        raise CheckFailed(f"through-pair circle misses its points: {p}, {q}")
     return got is not None
 
 
 @check("anchored-pair-bound")
-def _anchored_pair_bound(rng, scale) -> CheckResult:
-    failure, _ = run_trials(anchored_pair_trial(rng) for _ in range(_trials(10000, scale)))
-    return _verdict(failure, "anchored circle pairs share at most 2 points, one the origin")
+def _anchored_pair_bound(rng, scale) -> str:
+    run_trials(anchored_pair_trial(rng) for _ in range(_trials(10000, scale)))
+    return "anchored circle pairs share at most 2 points, one the origin"
 
 
 @check("anchored-dual-uniqueness")
-def _anchored_dual_uniqueness(rng, scale) -> CheckResult:
+def _anchored_dual_uniqueness(rng, scale) -> str:
     trials = _trials(10000, scale)
-    failure, returned = run_trials(through_pair_trial(rng, i % 2 == 1, 10) for i in range(trials))
-    return _verdict(failure, f"at most one circle per pair; {sum(returned)} returned circles verified")
+    returned = run_trials(through_pair_trial(rng, i % 2 == 1, 10) for i in range(trials))
+    return f"at most one circle per pair; {sum(returned)} returned circles verified"
 
 
 @check("lift-tangency-equivalence")
-def _lift_equivalence(rng, scale) -> CheckResult:
+def _lift_equivalence(rng, scale) -> str:
     # every other trial is a tangent pair, so both answers are exercised
-    for i in range(_trials(20000, scale)):
-        c, base = _rand_circle(rng)
-        a = tangent_point_sample(c, base, rng) if i % 2 else _rand_dp(rng)
-        lifted = anc.lifted_contains(anc.LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
-        if lifted != is_tangent(a, c):
-            return False, f"lift/tangency mismatch for {a}, {c}"
-    return True, "lifted_contains equivalent to is_tangent on all trials"
+    run_trials(duality_trial(rng, i % 2 == 1) for i in range(_trials(20000, scale)))
+    return "lifted_contains equivalent to is_tangent on all trials"
 
 
 def cubic_trials(rng) -> Callable[[], object]:
@@ -385,17 +375,17 @@ def cubic_trials(rng) -> Callable[[], object]:
         for _ in range(10):
             pt = anc.lift_sample(lc, dp0.p, rng)
             if f.eval({"x": pt.x, "y": pt.y, "z": pt.z}) != 0:
-                return f"cubic surface nonzero at lift sample {pt}"
+                raise CheckFailed(f"cubic surface nonzero at lift sample {pt}")
         return 10
     return trial
 
 
 @check("cubic-surface-vanishing")
-def _cubic_vanishing(rng, scale) -> CheckResult:
+def _cubic_vanishing(rng, scale) -> str:
     trial = cubic_trials(rng)
     circles = _trials(1000, scale, floor=10)
-    failure, _ = run_trials(trial() for _ in range(circles))
-    return _verdict(failure, f"cubic vanished on 10 lift samples per {circles} tangent circles")
+    run_trials(trial() for _ in range(circles))
+    return f"cubic vanished on 10 lift samples per {circles} tangent circles"
 
 
 def _radical_line_tangency(c1: Circle2, c2: Circle2):
@@ -431,7 +421,7 @@ def _touching(c1: Circle2, c2: Circle2) -> bool:
 
 
 @check("lifted-pair-bound")
-def _lifted_pair_bound(rng, scale) -> CheckResult:
+def _lifted_pair_bound(rng, scale) -> str:
     # two distinct base circles share a directed point iff they touch in one
     # point: well under the almost-2-dof multiplicity bound of 2.  The
     # radical-line discriminant is the independent oracle; planted touching
@@ -444,11 +434,11 @@ def _lifted_pair_bound(rng, scale) -> CheckResult:
         c1, c2 = tangent_circle(a, s1), tangent_circle(a, s2)
         pts, shared = _radical_line_tangency(c1, c2)
         if (pts, shared) != (1, 1):
-            return False, "touching pair not recognized by radical-line oracle"
+            raise CheckFailed("touching pair not recognized by radical-line oracle")
         if not (is_tangent(a, c1) and is_tangent(a, c2)):
-            return False, "planted pair misses the shared directed point"
+            raise CheckFailed("planted pair misses the shared directed point")
         if not _touching(c1, c2):
-            return False, "tangency certificate disagrees with construction"
+            raise CheckFailed("tangency certificate disagrees with construction")
     for _ in range(_trials(3000, scale)):
         c1, _ = _rand_circle(rng)
         c2, _ = _rand_circle(rng)
@@ -456,10 +446,10 @@ def _lifted_pair_bound(rng, scale) -> CheckResult:
             continue
         pts, shared = _radical_line_tangency(c1, c2)
         if _touching(c1, c2) != (shared == 1):
-            return False, "certificate and radical-line oracle disagree"
+            raise CheckFailed("certificate and radical-line oracle disagree")
         if shared > 1 or pts > 2:
-            return False, "pair bound violated"
-    return True, "lifted circle pairs share at most one directed point (bound 2 holds)"
+            raise CheckFailed("pair bound violated")
+    return "lifted circle pairs share at most one directed point (bound 2 holds)"
 
 
 # --- dual3 ------------------------------------------------------------------
@@ -474,7 +464,7 @@ def duality_trial(rng, incident: bool):
     t2 = dual3.dual_incidence(a, c)
     t3 = anc.lifted_contains(anc.LiftedCircle(c), Vec3(a.p.x, a.p.y, a.u))
     if not (t1 == t2 == t3):
-        return f"duality mismatch for {a}, {c}: {t1}, {t2}, {t3}"
+        raise CheckFailed(f"duality mismatch for {a}, {c}: {t1}, {t2}, {t3}")
     return True
 
 
@@ -485,27 +475,27 @@ def power_trial(rng):
     a, b, d = rand_rat(rng), rand_rat(rng), rand_rat(rng)
     pp = dual3.PowerPlane(a, b, d)
     if dual3.dual_on_plane(c, pp) != (power(pp.w, c) == pp.rho):
-        return f"power decode mismatch for plane ({a},{b},{d})"
+        raise CheckFailed(f"power decode mismatch for plane ({a},{b},{d})")
     if dual3.encode_power(pp.w, pp.rho) != pp:
-        return "plane encode/decode round trip failed"
+        raise CheckFailed("plane encode/decode round trip failed")
     return True
 
 
 @check("master-duality")
-def _master_duality(rng, scale) -> CheckResult:
+def _master_duality(rng, scale) -> str:
     trials = _trials(100000, scale)
-    failure, _ = run_trials(duality_trial(rng, i % 3 == 0) for i in range(trials))
-    return _verdict(failure, f"{trials} pairs: is_tangent == dual_incidence == lifted_contains")
+    run_trials(duality_trial(rng, i % 3 == 0) for i in range(trials))
+    return f"{trials} pairs: is_tangent == dual_incidence == lifted_contains"
 
 
 @check("power-decoding")
-def _power_decoding(rng, scale) -> CheckResult:
-    failure, _ = run_trials(power_trial(rng) for _ in range(_trials(10000, scale)))
-    return _verdict(failure, "dual-on-plane equivalent to power equality; round trip identity")
+def _power_decoding(rng, scale) -> str:
+    run_trials(power_trial(rng) for _ in range(_trials(10000, scale)))
+    return "dual-on-plane equivalent to power equality; round trip identity"
 
 
 @check("line-in-plane-characterization")
-def _line_in_plane_char(rng, scale) -> CheckResult:
+def _line_in_plane_char(rng, scale) -> str:
     for _ in range(_trials(10000, scale)):
         a = _rand_dp(rng)
         pp = dual3.PowerPlane(rand_rat(rng), rand_rat(rng), rand_rat(rng))
@@ -514,19 +504,19 @@ def _line_in_plane_char(rng, scale) -> CheckResult:
             w = pp.w
             geo = (a.p - w).norm2() == pp.rho and (w.y - a.p.y) == a.u * (w.x - a.p.x)
             if direct != geo:
-                return False, f"line_in_plane disagrees with geometry for {a}"
+                raise CheckFailed(f"line_in_plane disagrees with geometry for {a}")
         if direct:
             line = dual3.dp_dual_line(a)
             p0, dv = line.point0(), line.direction()
             for k in (-2, 0, 3):
                 pt = p0 + dv.scale(k)
                 if pp.eval_at(pt) != 0:
-                    return False, "contained line leaves the plane"
-    return True, "direct containment matches the power-circle characterization"
+                    raise CheckFailed("contained line leaves the plane")
+    return "direct containment matches the power-circle characterization"
 
 
 @check("rich-planes-completeness")
-def _rich_planes_completeness(rng, scale) -> CheckResult:
+def _rich_planes_completeness(rng, scale) -> str:
     for _ in range(_trials(40, scale, floor=5)):
         # plant a rich plane: k directed points on a power circle around w,
         # each directed at w (radial), so their dual lines share the plane
@@ -556,34 +546,34 @@ def _rich_planes_completeness(rng, scale) -> CheckResult:
         expected = dual3.encode_power(w, circle.r2)
         found = [entry for entry in report if entry[0] == expected]
         if not found:
-            return False, f"planted rich plane not found (k={k})"
+            raise CheckFailed(f"planted rich plane not found (k={k})")
         members = found[0][1]
         if set(members) < set(range(k)):
-            return False, "planted members missing from rich plane"
+            raise CheckFailed("planted members missing from rich plane")
         for plane, ms in report:
             if isinstance(plane, dual3.PowerPlane):
                 for i in ms:
                     if not dual3.line_in_plane(allpts[i], plane):
-                        return False, "false positive member in rich plane"
-    return True, "planted rich planes recovered with exact membership"
+                        raise CheckFailed("false positive member in rich plane")
+    return "planted rich planes recovered with exact membership"
 
 
 # --- incidence-engine -------------------------------------------------------
 
 
 @check("engine-mode-equivalence")
-def _engine_modes(rng, scale) -> CheckResult:
+def _engine_modes(rng, scale) -> str:
     size = max(60, int(2000 * scale))
     inst, _ = gens.gen(gens.GenSpec("circle-sampled", size, max(10, size // 4), seed=rng.randrange(1 << 30)))
     a = eng.count(inst.points, inst.curves, mode="exact")
     b = eng.count(inst.points, inst.curves, mode="prefilter")
     if (a.total, a.per_point, a.per_curve) != (b.total, b.per_point, b.per_curve):
-        return False, "exact and prefilter disagree"
-    return True, f"modes agree at m={size} (total {a.total})"
+        raise CheckFailed("exact and prefilter disagree")
+    return f"modes agree at m={size} (total {a.total})"
 
 
 @check("engine-determinism")
-def _engine_determinism(rng, scale) -> CheckResult:
+def _engine_determinism(rng, scale) -> str:
     inst, _ = gens.gen(gens.GenSpec("circle-sampled", 150, 30, seed=rng.randrange(1 << 30)))
     reports = [
         eng.count(inst.points, inst.curves, mode="prefilter", threads=th, tile=64)
@@ -593,27 +583,27 @@ def _engine_determinism(rng, scale) -> CheckResult:
     base = (reports[0].total, reports[0].per_point, reports[0].per_curve)
     for rep in reports[1:]:
         if (rep.total, rep.per_point, rep.per_curve) != base:
-            return False, "report varies with thread count or rerun"
-    return True, "identical reports across thread counts and reruns"
+            raise CheckFailed("report varies with thread count or rerun")
+    return "identical reports across thread counts and reruns"
 
 
 @check("engine-histogram-consistency")
-def _engine_histograms(rng, scale) -> CheckResult:
+def _engine_histograms(rng, scale) -> str:
     for kind, m, n in (("circle-sampled", 80, 20), ("anchored-planted", 40, 30)):
         inst, _ = gens.gen(gens.GenSpec(kind, m, n, seed=rng.randrange(1 << 30)))
         rep = eng.count(inst.points, inst.curves)
         if rep.total != sum(rep.per_point) or rep.total != sum(rep.per_curve):
-            return False, f"histogram inconsistency on {kind}"
-    return True, "total equals both histogram sums on every report"
+            raise CheckFailed(f"histogram inconsistency on {kind}")
+    return "total equals both histogram sums on every report"
 
 
 @check("engine-throughput")
-def _engine_throughput(rng, scale) -> CheckResult:
+def _engine_throughput(rng, scale) -> str:
     size = int(20000 * max(scale, 0.02))
     inst, _ = gens.gen(gens.GenSpec("random-tangency", size, size, seed=rng.randrange(1 << 30)))
     report = eng.count(inst.points, inst.curves, mode="prefilter", threads=8)
     # soft target: the check's own time is reported after the message, not asserted
-    return True, f"m=n={size} prefilter count, {report.total} incidences (soft target 60s at 2e4)"
+    return f"m=n={size} prefilter count, {report.total} incidences (soft target 60s at 2e4)"
 
 
 # --- partition --------------------------------------------------------------
@@ -628,25 +618,25 @@ def _partition_fixture(rng, scale):
 
 
 @check("partition-balance")
-def _partition_balance(rng, scale) -> CheckResult:
+def _partition_balance(rng, scale) -> str:
     pts, pp, levels = _partition_fixture(rng, scale)
     ca = part.classify(pts, pp)
     bound = (1 + 0.15) * len(pts) / 2 ** levels
     if ca.max_population() > bound:
-        return False, f"cell population {ca.max_population()} exceeds {bound}"
-    return True, f"max cell {ca.max_population()} within (1+eps) m/2^r = {bound:.1f}"
+        raise CheckFailed(f"cell population {ca.max_population()} exceeds {bound}")
+    return f"max cell {ca.max_population()} within (1+eps) m/2^r = {bound:.1f}"
 
 
 @check("partition-degree-accounting")
-def _partition_degrees(rng, scale) -> CheckResult:
+def _partition_degrees(rng, scale) -> str:
     pts, pp, levels = _partition_fixture(rng, scale)
     for j, d in enumerate(pp.level_degrees, start=1):
         want = part.least_lift_degree(2 ** (j - 1))
         if d > want:
-            return False, f"level {j} degree {d} exceeds lift degree {want}"
+            raise CheckFailed(f"level {j} degree {d} exceeds lift degree {want}")
     if pp.degree_budget != sum(pp.level_degrees):
-        return False, "degree budget mismatch"
-    return True, f"level degrees {pp.level_degrees} follow the lift schedule"
+        raise CheckFailed("degree budget mismatch")
+    return f"level degrees {pp.level_degrees} follow the lift schedule"
 
 
 def numeric_crossing_count(poly: UniPoly) -> int:
@@ -701,41 +691,41 @@ def crossing_trial(rng, pp: part.PartitionPoly, bound: int, whole: bool):
             continue
         changes = numeric_crossing_count(restricted)
         if rep.per_factor[fi] != changes:
-            return f"sturm {rep.per_factor[fi]} vs sampling {changes}"
+            raise CheckFailed(f"sturm {rep.per_factor[fi]} vs sampling {changes}")
         if whole:
             product = product * restricted
     if rep.total > 4 * pp.degree_budget:  # lifted circles have degree 4
-        return f"crossings {rep.total} exceed Bezout bound"
+        raise CheckFailed(f"crossings {rep.total} exceed Bezout bound")
     if whole and rep.total != sturm_count(product):
-        return f"total {rep.total} vs product Sturm {sturm_count(product)}"
+        raise CheckFailed(f"total {rep.total} vs product Sturm {sturm_count(product)}")
     return True
 
 
 @check("partition-crossing-soundness")
-def _partition_crossings(rng, scale) -> CheckResult:
+def _partition_crossings(rng, scale) -> str:
     pts, pp, _ = _partition_fixture(rng, scale)
     curves = _trials(30, scale, floor=8)
-    failure, _ = run_trials(crossing_trial(rng, pp, 10, i < 2) for i in range(curves))
-    return _verdict(failure, f"{curves} lifted circles: Sturm counts match dense sampling")
+    run_trials(crossing_trial(rng, pp, 10, i < 2) for i in range(curves))
+    return f"{curves} lifted circles: Sturm counts match dense sampling"
 
 
 @check("partition-bezout-bound")
-def _partition_bezout(rng, scale) -> CheckResult:
+def _partition_bezout(rng, scale) -> str:
     pts, pp, _ = _partition_fixture(rng, scale)
     for _ in range(_trials(30, scale, floor=8)):
         c, base = _rand_circle(rng, 10, 10)
         curve = anc.lifted_param(anc.LiftedCircle(c), base)
         rep = part.curve_crossings(curve, pp)
         if rep.total > 4 * pp.degree_budget:  # lifted circles have degree 4
-            return False, f"crossings {rep.total} exceed Bezout bound"
-    return True, f"crossings within 4 * total degree = {4 * pp.degree_budget}"
+            raise CheckFailed(f"crossings {rep.total} exceed Bezout bound")
+    return f"crossings within 4 * total degree = {4 * pp.degree_budget}"
 
 
 # --- generators -------------------------------------------------------------
 
 
 @check("generator-seed-determinism")
-def _gen_determinism(rng, scale) -> CheckResult:
+def _gen_determinism(rng, scale) -> str:
     for kind, m, n in (
         ("random-tangency", 20, 20),
         ("pencil", 1, 15),
@@ -748,12 +738,12 @@ def _gen_determinism(rng, scale) -> CheckResult:
         a, _ = gens.gen(gens.GenSpec(kind, m, n, seed=seed))
         b, _ = gens.gen(gens.GenSpec(kind, m, n, seed=seed))
         if a.to_json() != b.to_json():
-            return False, f"{kind} not bit-identical under fixed seed"
-    return True, "identical spec + seed produce bit-identical instances"
+            raise CheckFailed(f"{kind} not bit-identical under fixed seed")
+    return "identical spec + seed produce bit-identical instances"
 
 
 @check("generator-planted-soundness")
-def _gen_planted(rng, scale) -> CheckResult:
+def _gen_planted(rng, scale) -> str:
     for kind, m, n in (
         ("pencil", 1, 30),
         ("circle-sampled", 40, 10),
@@ -762,24 +752,24 @@ def _gen_planted(rng, scale) -> CheckResult:
     ):
         inst, planted = gens.gen(gens.GenSpec(kind, m, n, seed=rng.randrange(1 << 30)))
         if planted != len(inst.planted_pairs):
-            return False, f"{kind}: planted count not certified"
-    return True, "every planted incidence passes its exact predicate"
+            raise CheckFailed(f"{kind}: planted count not certified")
+    return "every planted incidence passes its exact predicate"
 
 
 @check("st-grid-enumeration")
-def _grid_enumeration(rng, scale) -> CheckResult:
+def _grid_enumeration(rng, scale) -> str:
     inst, planted = gens.gen(gens.GenSpec("st-grid-horizontal-lines", 432, 432, seed=0))
     total = eng.count(inst.points, inst.curves, mode="prefilter").total
     if total != planted:
-        return False, f"grid enumeration {planted} vs engine {total}"
-    return True, f"grid planted count {planted} equals engine enumeration"
+        raise CheckFailed(f"grid enumeration {planted} vs engine {total}")
+    return f"grid planted count {planted} equals engine enumeration"
 
 
 # --- cli --------------------------------------------------------------------
 
 
 @check("cli-reproducibility")
-def _cli_reproducibility(rng, scale) -> CheckResult:
+def _cli_reproducibility(rng, scale) -> str:
     import io
     import json
     from . import cli
@@ -796,12 +786,12 @@ def _cli_reproducibility(rng, scale) -> CheckResult:
     code1, out1 = run()
     code2, out2 = run()
     if code1 != 0 or code2 != 0:
-        return False, "cli count returned nonzero"
+        raise CheckFailed("cli count returned nonzero")
     out1.pop("seconds", None)
     out2.pop("seconds", None)
     if out1 != out2:
-        return False, "cli output not reproducible modulo timing"
-    return True, "subcommand output reproducible modulo the timing field"
+        raise CheckFailed("cli output not reproducible modulo timing")
+    return "subcommand output reproducible modulo the timing field"
 
 
 def run_suite(quick: bool = False, seed: int = 20260810, log=print) -> bool:
@@ -814,7 +804,9 @@ def run_suite(quick: bool = False, seed: int = 20260810, log=print) -> bool:
         rng = random.Random(seed ^ zlib.crc32(name.encode()))
         t0 = time.perf_counter()
         try:
-            ok, msg = fn(rng, scale)
+            ok, msg = True, fn(rng, scale)
+        except CheckFailed as exc:
+            ok, msg = False, str(exc)
         except Exception as exc:  # a crashing check is a failing check
             ok, msg = False, f"exception: {exc!r}"
         dt = time.perf_counter() - t0

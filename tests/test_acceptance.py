@@ -3,7 +3,8 @@
 Each test prints a single ACCEPT-nn PASS/FAIL line (run pytest -s to see
 them inline); failures also fail the test.  Seeds are pinned so every run
 is identical.  Criteria that verify also checks run verify's trial kernels
-at their own seeds, trial counts and loop rules.
+at their own seeds, trial counts and loop rules; a kernel raises CheckFailed
+at its first failure, which fails the test.
 """
 
 import hashlib
@@ -46,19 +47,11 @@ def report(num, desc):
     return wrap
 
 
-def passing(results) -> list:
-    """The counted results of a run of verify's trial kernels; the first
-    failure message fails the test."""
-    failure, counted = run_trials(results)
-    assert failure is None, failure
-    return counted
-
-
 @report(1, "master duality: is_tangent == dual_incidence == lifted_contains on 1e5 pairs")
 def test_master_duality_equivalence():
     rng = random.Random(101)
     start = time.perf_counter()
-    passing(duality_trial(rng, i % 10 == 0) for i in range(100_000))  # every 10th pair incident
+    run_trials(duality_trial(rng, i % 10 == 0) for i in range(100_000))  # every 10th pair incident
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     return "0 discrepancies"
@@ -67,15 +60,15 @@ def test_master_duality_equivalence():
 @report(2, "power-plane correspondence and round trip on 1e4 pairs")
 def test_power_plane_correspondence():
     rng = random.Random(102)
-    passing(power_trial(rng) for _ in range(10_000))
+    run_trials(power_trial(rng) for _ in range(10_000))
     return "dual-on-plane iff power equality, encode/decode identity"
 
 
 @report(3, "F-consistency: circle implies regular zero F; on-circle pairs give F = 0")
 def test_F_consistency():
     rng = random.Random(103)
-    produced = sum(passing(common_circle_trial(rng, False) for _ in range(10_000)))
-    zeros = len(passing(common_circle_trial(rng, True) for _ in range(10_000)))
+    produced = sum(run_trials(common_circle_trial(rng, False) for _ in range(10_000)))
+    zeros = len(run_trials(common_circle_trial(rng, True) for _ in range(10_000)))
     return f"{produced} random-pair circles all verified; {zeros} on-circle pairs gave F=0"
 
 
@@ -84,7 +77,7 @@ def test_cubic_surface_vanishing():
     trial = cubic_trials(random.Random(104))
     evaluations = 0
     while evaluations < 10_000:
-        evaluations += sum(passing([trial()]))
+        evaluations += sum(run_trials([trial()]))
     return f"{evaluations} evaluations, all exactly zero"
 
 
@@ -93,16 +86,16 @@ def test_collinearity_consequence():
     rng = random.Random(105)
     engineered = 0
     while engineered < 10_000:
-        engineered += len(passing([engineered_triple_trial(rng)]))
-    planted = len(passing(random_triple_trial(rng) for _ in range(100_000)))
+        engineered += len(run_trials([engineered_triple_trial(rng)]))
+    planted = len(run_trials(random_triple_trial(rng) for _ in range(100_000)))
     return f"{engineered} engineered triples collinear; {planted} three-circle triples gave their planted common circles"
 
 
 @report(6, "anchored structure: pair uniqueness, 2-point bound, boundary midpoint")
 def test_anchored_structure():
     rng = random.Random(106)
-    returned = sum(passing(through_pair_trial(rng, i % 2 == 1, 25) for i in range(10_000)))
-    pairs = len(passing(anchored_pair_trial(rng) for _ in range(10_000)))
+    returned = sum(run_trials(through_pair_trial(rng, i % 2 == 1, 25) for i in range(10_000)))
+    pairs = len(run_trials(anchored_pair_trial(rng) for _ in range(10_000)))
     boundary = 0
     while boundary < 1_000:
         c = anc.sphere_point(rr(rng, 3, 10), rr(rng, 3, 10))
@@ -126,7 +119,7 @@ def test_partition_contract():
     ca = classify(pts, pp)
     limit = 1.1 * 4096 / 16
     assert ca.max_population() <= limit, f"{ca.max_population()} > {limit}"
-    curves = len(passing(crossing_trial(rng, pp, 10, False) for _ in range(100)))
+    curves = len(run_trials(crossing_trial(rng, pp, 10, False) for _ in range(100)))
     return (f"max cell {ca.max_population()} <= {limit:.1f}; "
             f"{curves} lifted circles sound within Bezout bound {4 * pp.degree_budget}")
 

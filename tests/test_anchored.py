@@ -19,7 +19,6 @@ from incidencelab.anchored import (
     circle_from_params,
     cubic_surface,
     dual_params,
-    h_p_contains,
     h_p_sample,
     lift_sample,
     lifted_contains,
@@ -155,7 +154,7 @@ class TestHp:
         for _ in range(100):
             g = rand_anchored(rng)
             p = anchored_point_sample(g, rng)
-            assert h_p_contains(p, g)
+            assert anchored_incident(p, g)
 
     def test_center_constraint_examples(self):
         p = Vec3(1, 1, 0)
@@ -163,7 +162,7 @@ class TestHp:
             assert c.norm2() == 1
             assert 2 * c.dot(p) == p.norm2()
             g = AnchoredCircle(c, p.cross(c))
-            assert h_p_contains(p, g)
+            assert anchored_incident(p, g)
 
     def test_boundary_midpoint(self):
         p = Vec3(2, 0, 0)

@@ -89,6 +89,27 @@ class TestBadInput:
         assert err.startswith(f"invalid input {path}: planted pair {pair} ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"planted_pairs": [[0, 0], [0, 0], [0, 1]], "planted": 3}, "planted pair (0, 0) is listed twice"),
+        ({"planted_pairs": [[False, True]], "planted": 1}, "planted pair (False, True) is not two integers"),
+        ({"planted": 7}, "ValueError: planted is 7 but 3 planted pairs are listed"),
+        ({"planted": "3"}, "ValueError: planted is '3' but 3 planted pairs are listed"),
+    ], ids=["duplicate-pair", "bool-indices", "planted-mismatch", "planted-string"])
+    def test_planted_field_and_pairs_validated(self, tmp_path, edit, message):
+        path = tmp_path / "inst.json"
+        assert run(["generate", "--kind", "pencil", "--m", "1", "--n", "3", "--out", str(path)])[0] == cli.EXIT_OK
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        for command in ("generate", "count"):
+            code, out, err = run([command, "--input", str(path)])
+            assert (code, out) == (cli.EXIT_USAGE, "")
+            assert err == f"invalid input {path}: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_deep_nesting(self, tmp_path, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert_one_line_exit(["count", flag, str(path)], cli.EXIT_USAGE)
+
     def test_rich_threshold_zero(self):
         assert_one_line_exit(["rich", "--kind", "pencil", "--m", "1", "--n", "3", "--t", "0"],
                              cli.EXIT_USAGE)

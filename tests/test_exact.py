@@ -6,7 +6,6 @@ import pytest
 from incidencelab.exact import (
     Vec2,
     Vec3,
-    det3,
     primitive_int_vec3,
     rat_from_str,
     rat_to_str,
@@ -39,12 +38,6 @@ class TestVectors:
     def test_json_round_trip(self):
         v = Vec3(Fraction(1, 3), Fraction(-2), Fraction(7, 5))
         assert Vec3.from_json(v.to_json()) == v
-
-
-class TestSolves:
-    def test_det3(self):
-        assert det3(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)) == 1
-        assert det3(Vec3(1, 2, 3), Vec3(2, 4, 6), Vec3(0, 1, 1)) == 0
 
 
 class TestPrimitive:

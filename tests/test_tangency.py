@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from incidencelab.exact import Vec2, Vec3, det3
+from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.tangency import (
     Circle2,
@@ -33,6 +33,10 @@ def dp(px, py, u):
 
 def circ(cx, cy, r2):
     return Circle2(Vec2(cx, cy), r2)
+
+
+def det3(r0: Vec3, r1: Vec3, r2: Vec3):
+    return r0.dot(r1.cross(r2))
 
 
 class TestIsTangent:

@@ -1,7 +1,8 @@
 """The verify suite must cover every invariant promised by the modules;
 dropping a check from the registry is a build failure here."""
 
-from incidencelab.verify import CHECKS, run_suite
+from incidencelab import verify
+from incidencelab.verify import CHECKS, CheckFailed, run_suite
 
 REQUIRED_CHECKS = {
     # exact kernel
@@ -62,3 +63,18 @@ def test_quick_suite_green():
 
     ok = run_suite(quick=True, seed=7734, log=log)
     assert ok, failures
+
+
+def test_failed_and_crashed_checks_fail_the_suite(monkeypatch):
+    def fails(rng, scale):
+        raise CheckFailed("boom")
+
+    def crashes(rng, scale):
+        raise ValueError("bad value")
+
+    monkeypatch.setattr(verify, "CHECKS", {"fails": fails, "crashes": crashes})
+    lines = []
+    assert run_suite(quick=True, seed=1, log=lines.append) is False
+    assert len(lines) == 2
+    assert lines[0].startswith("[FAIL] fails: boom (")
+    assert lines[1].startswith("[FAIL] crashes: exception: ValueError(")
