@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from .dual3 import circle_dual, dp_dual_line, rich_planes, rich_planes_to_json
@@ -79,43 +79,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-@dataclass
-class ScanRow:
-    m: int
-    n: int
-    total: int
-    bound_ratio: float
-    seconds: float
-
-
-@dataclass
-class ScanResult:
-    family: str
-    rows: List[ScanRow] = field(default_factory=list)
-    exponent: Optional[float] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "family": self.family,
-            "rows": [
-                {"m": r.m, "n": r.n, "total": r.total,
-                 "bound_ratio": r.bound_ratio, "seconds": r.seconds}
-                for r in self.rows
-            ],
-        }
-        if self.exponent is not None:
-            out["exponent"] = self.exponent
-        return out
-
-    def to_csv(self) -> str:
-        lines = ["family,m,n,total,bound_ratio,seconds"]
-        for r in self.rows:
-            lines.append(
-                f"{self.family},{r.m},{r.n},{r.total},{r.bound_ratio:.6f},{r.seconds:.6f}"
-            )
-        return "\n".join(lines)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, stdout, **kwargs):
         super().__init__(*args, **kwargs)
@@ -172,6 +135,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
         except RecursionError:
             raise UsageError("config parse error: nested too deeply") from None
+        except ValueError as exc:  # an integer literal past Python's digit limit, or not UTF-8
+            raise UsageError(f"config parse error: {exc}") from None
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from None
         if not isinstance(loaded, dict):
@@ -204,15 +169,12 @@ def _genspec(cfg: dict) -> GenSpec:
 def _load_instance(cfg: dict) -> Tuple[Instance, int]:
     if not cfg["input"]:
         return gen(_genspec(cfg))
-    with open(cfg["input"]) as fh:
-        try:
-            inst = Instance.from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
-            raise UsageError(f"invalid input {cfg['input']}: {type(exc).__name__}: {exc}") from None
     try:
+        with open(cfg["input"]) as fh:
+            inst = Instance.from_json(json.load(fh))
         return inst, certify(inst)
-    except ValueError as exc:  # a planted pair out of range or not incident
-        raise UsageError(f"invalid input {cfg['input']}: {exc}") from None
+    except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise UsageError(f"invalid input {cfg['input']}: {type(exc).__name__}: {exc}") from None
 
 
 def _emit(text: str, cfg: dict, stdout) -> None:
@@ -229,13 +191,13 @@ def _points_for_partition(inst: Instance) -> List[Vec3]:
     return list(inst.points)
 
 
-def cmd_generate(cfg, stdout, stderr) -> int:
+def cmd_generate(cfg, stdout) -> int:
     inst, planted = _load_instance(cfg)
     _emit(json.dumps(inst.to_json(), indent=2), cfg, stdout)
     return EXIT_OK
 
 
-def cmd_count(cfg, stdout, stderr) -> int:
+def cmd_count(cfg, stdout) -> int:
     inst, _ = _load_instance(cfg)
     report = count(inst.points, inst.curves, mode=cfg["mode"], threads=cfg["threads"])
     if cfg["format"] == "csv":
@@ -245,7 +207,7 @@ def cmd_count(cfg, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def cmd_rich(cfg, stdout, stderr) -> int:
+def cmd_rich(cfg, stdout) -> int:
     inst, _ = _load_instance(cfg)
     rich = t_rich_points(inst.points, inst.curves, cfg["t"],
                          mode=cfg["mode"], threads=cfg["threads"])
@@ -258,14 +220,10 @@ def cmd_rich(cfg, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def cmd_partition(cfg, stdout, stderr) -> int:
+def cmd_partition(cfg, stdout) -> int:
     inst, _ = _load_instance(cfg)
     points = _points_for_partition(inst)
-    try:
-        pp = build_partition(points, cfg["levels"], cfg["epsilon"], seed=cfg["seed"])
-    except (PartitionError, ValueError) as exc:  # ValueError: levels, epsilon or m
-        print(f"partition failed: {exc}", file=stderr)
-        return EXIT_INFEASIBLE
+    pp = build_partition(points, cfg["levels"], cfg["epsilon"], seed=cfg["seed"])
     assignment = classify(points, pp)
     if cfg["format"] == "csv":
         _emit("\n".join(assignment.csv_rows()), cfg, stdout)
@@ -280,11 +238,10 @@ def cmd_partition(cfg, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def cmd_dual(cfg, stdout, stderr) -> int:
+def cmd_dual(cfg, stdout) -> int:
     inst, _ = _load_instance(cfg)
     if inst.kind != "tangency":
-        print("dual expects a tangency instance", file=stderr)
-        return EXIT_USAGE
+        raise UsageError("dual expects a tangency instance")
     payload = {
         "dual_points": [circle_dual(c).to_json() for c in inst.curves],
         "dual_lines": [dp_dual_line(p).to_json() for p in inst.points],
@@ -310,29 +267,31 @@ def _scan_sizes(family: str, base: int, steps: int, z_levels: int) -> List[Tuple
     return sizes
 
 
-def cmd_scan(cfg, stdout, stderr) -> int:
+def cmd_scan(cfg, stdout) -> int:
     family = cfg["family"]
     kind = {"st-grid": "st-grid-horizontal-lines"}.get(family, family)
     _genspec(dict(cfg, kind=kind, m=0, n=0))  # rejects bad ranges and z-levels up front
-    result = ScanResult(family)
-    series = []
+    rows = []
     for m, n in _scan_sizes(family, cfg["base"], cfg["steps"], cfg["z_levels"]):
         inst, _ = gen(_genspec(dict(cfg, kind=kind, m=m, n=n)))
         report = count(inst.points, inst.curves, mode=cfg["mode"], threads=cfg["threads"])
-        result.rows.append(ScanRow(report.m, report.n, report.total,
-                                   bound_ratio(report), report.seconds))
-        series.append((report.m, report.n, report.total))
-    result.rows.sort(key=lambda r: r.m)
-    if len([r for r in result.rows if r.total > 0]) >= 3:
-        result.exponent = exponent_fit(series)[0]
+        rows.append({"m": report.m, "n": report.n, "total": report.total,
+                     "bound_ratio": bound_ratio(report), "seconds": report.seconds})
     if cfg["format"] == "csv":
-        _emit(result.to_csv(), cfg, stdout)
+        text = "\n".join(["family,m,n,total,bound_ratio,seconds"] + [
+            f"{family},{r['m']},{r['n']},{r['total']},{r['bound_ratio']:.6f},{r['seconds']:.6f}" for r in rows])
     else:
-        _emit(json.dumps(result.to_json(), indent=2), cfg, stdout)
+        result = {"family": family, "rows": rows}
+        try:  # too few positive totals, or sizes that do not vary
+            result["exponent"] = exponent_fit([(r["m"], r["n"], r["total"]) for r in rows])[0]
+        except ValueError:
+            pass
+        text = json.dumps(result, indent=2)
+    _emit(text, cfg, stdout)
     return EXIT_OK
 
 
-def cmd_verify(cfg, stdout, stderr) -> int:
+def cmd_verify(cfg, stdout) -> int:
     ok = run_suite(quick=bool(cfg["quick"]), seed=cfg["seed"],
                    log=lambda msg: print(msg, file=stdout))
     return EXIT_OK if ok else EXIT_VERIFY
@@ -350,23 +309,26 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
+    """Run one subcommand.  Commands fail only by raising; this is the one
+    place that turns an error into its exit code and one line on stderr."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _build_parser(stdout).parse_args(argv)
-        return COMMANDS[args.command](_merge_config(args), stdout, stderr)
+        return COMMANDS[args.command](_merge_config(args), stdout)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except UsageError as exc:
-        print(exc, file=stderr)
-        return EXIT_USAGE
-    except InfeasibleSpecError as exc:
-        print(f"infeasible spec: {exc}", file=stderr)
-        return EXIT_INFEASIBLE
+        message, code = str(exc), EXIT_USAGE
     except OSError as exc:  # unreadable input, unwritable output
-        print(f"cannot access {exc.filename}: {exc.strerror}" if exc.filename else f"file error: {exc}",
-              file=stderr)
-        return EXIT_USAGE
+        message = f"cannot access {exc.filename}: {exc.strerror}" if exc.filename else f"file error: {exc}"
+        code = EXIT_USAGE
+    except InfeasibleSpecError as exc:
+        message, code = f"infeasible spec: {exc}", EXIT_INFEASIBLE
+    except PartitionError as exc:
+        message, code = f"partition failed: {exc}", EXIT_INFEASIBLE
+    print(message, file=stderr)
+    return code
 
 
 def entry() -> None:

@@ -3,7 +3,8 @@
 Every coordinate in this package is a fractions.Fraction.  This module adds
 the wire format for rationals ("num/den" strings, den omitted when 1),
 2- and 3-vectors with the handful of products the constructions need, and
-the 3x3 determinant.  All values are immutable.
+their integer forms (denominators cleared, primitive directions).  All
+values are immutable.
 """
 
 from __future__ import annotations

@@ -42,9 +42,15 @@ CELL_MODEL = "sign-vector classes (coarsening of connected components)"
 STARTS, SWEEPS, RETRIES = 40, 4, 6  # search starts (grown per retry), improvement sweeps, retries per level
 
 
-class PartitionError(Exception):
-    def __init__(self, message: str, best_epsilon: float):
-        super().__init__(f"{message} (best achieved epsilon {best_epsilon:.4f})")
+class PartitionError(ValueError):
+    """build_partition cannot build: bad levels or epsilon, too few points,
+    coordinates too large for the float search, or the balance target
+    missed, in which case best_epsilon is the best balance achieved."""
+
+    def __init__(self, message: str, best_epsilon: Optional[float] = None):
+        if best_epsilon is not None:
+            message += f" (best achieved epsilon {best_epsilon:.4f})"
+        super().__init__(message)
         self.best_epsilon = best_epsilon
 
 
@@ -213,15 +219,8 @@ def _best_constant(
         starts = np.append(np.flatnonzero(first), m)
         pooled = ordered[starts[:-1]]
         thetas = np.concatenate(([pooled[0] - 1.0], (pooled[:-1] + pooled[1:]) / 2, [pooled[-1] + 1.0]))
-        if (thetas[1:] >= pooled).all() and (thetas[:-1] <= pooled).all():
-            # threshold t lies between pooled values t-1 and t, maybe rounded
-            # onto one; these comparisons cost a seventh of two searchsorted calls
-            ranks = np.arange(thetas.size)
-            lo_rank = ranks - np.append(False, thetas[1:] == pooled)
-            hi_rank = ranks + np.append(thetas[:-1] == pooled, False)
-        else:  # a sum overflowed, or NaN
-            lo_rank = np.searchsorted(pooled, thetas, side="left")
-            hi_rank = np.searchsorted(pooled, thetas, side="right")
+        lo_rank = np.searchsorted(pooled, thetas, side="left")
+        hi_rank = np.searchsorted(pooled, thetas, side="right")
         lo, hi = starts[lo_rank], starts[hi_rank]  # sorted positions below lo are below, from hi on above
         worst = np.maximum(below_max[lo], above_max[hi])
         imbalance = squares[lo]
@@ -293,16 +292,16 @@ def build_partition(
 
     After level j every sign class holds at most (1 + epsilon) * m / 2^j
     points, re-checked with exact arithmetic; the float search only
-    proposes candidates.  Exhausting the retry budget raises PartitionError
-    carrying the best achieved epsilon.
+    proposes candidates.  Every reason it cannot build raises PartitionError;
+    exhausting the retry budget carries the best achieved epsilon.
     """
     m = len(points)
     if levels < 1:
-        raise ValueError("levels must be at least 1")
+        raise PartitionError("levels must be at least 1")
     if not (0 < epsilon < 1):
-        raise ValueError("epsilon must be in (0, 1)")
+        raise PartitionError("epsilon must be in (0, 1)")
     if m < 2 ** levels:
-        raise ValueError("need at least 2^levels points")
+        raise PartitionError("need at least 2^levels points")
     rng = random.Random(seed)
     factors: List[MPoly] = []
     degrees: List[int] = []
@@ -319,12 +318,18 @@ def build_partition(
         d = least_lift_degree(k)
         monos = veronese_monomials(d)
         if d != lift_degree:
-            vals_matrix = _lift(cleared, monos, d)
+            try:
+                vals_matrix = _lift(cleared, monos, d)
+            except OverflowError:
+                raise PartitionError("coordinates too large for the float search") from None
             lift_degree = d
         target = (1 + epsilon) * m / (2 ** level)
         accepted = None
         for attempt in range(RETRIES):
-            theta, c = _search_level(vals_matrix, labels, sizes, target * 0.999, rng, STARTS * (attempt + 1))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN values are scored as they are
+                theta, c = _search_level(vals_matrix, labels, sizes, target * 0.999, rng, STARTS * (attempt + 1))
+            if not math.isfinite(theta):
+                raise PartitionError("coordinates too large for the float search")
             coeffs = [Fraction(-theta).limit_denominator(1 << 16)] + [Fraction(int(v)) for v in c]
             g = _poly_from_coeffs(monos, coeffs)
             if g.is_zero():

@@ -1,12 +1,17 @@
+import copy
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from incidencelab import cli
 
@@ -86,12 +91,13 @@ class TestBadInput:
         path.write_text(json.dumps(obj))
         code, out, err = run(["generate", "--input", str(path)])
         assert (code, out) == (cli.EXIT_USAGE, "")
-        assert err.startswith(f"invalid input {path}: planted pair {pair} ")
+        assert err.startswith(f"invalid input {path}: ValueError: planted pair {pair} ")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("edit, message", [
-        ({"planted_pairs": [[0, 0], [0, 0], [0, 1]], "planted": 3}, "planted pair (0, 0) is listed twice"),
-        ({"planted_pairs": [[False, True]], "planted": 1}, "planted pair (False, True) is not two integers"),
+        ({"planted_pairs": [[0, 0], [0, 0], [0, 1]], "planted": 3}, "ValueError: planted pair (0, 0) is listed twice"),
+        ({"planted_pairs": [[False, True]], "planted": 1},
+         "ValueError: planted pair (False, True) is not two integers"),
         ({"planted": 7}, "ValueError: planted is 7 but 3 planted pairs are listed"),
         ({"planted": "3"}, "ValueError: planted is '3' but 3 planted pairs are listed"),
     ], ids=["duplicate-pair", "bool-indices", "planted-mismatch", "planted-string"])
@@ -110,6 +116,17 @@ class TestBadInput:
         path.write_text("[" * 100_000 + "]" * 100_000)
         assert_one_line_exit(["count", flag, str(path)], cli.EXIT_USAGE)
 
+    @pytest.mark.parametrize("command", ["count", "generate", "dual", "partition"])
+    def test_infinite_coordinate(self, tmp_path, command):
+        path = tmp_path / "inst.json"
+        assert run(["generate", "--kind", "pencil", "--m", "1", "--n", "3", "--out", str(path)])[0] == cli.EXIT_OK
+        obj = json.loads(path.read_text())
+        obj["points"][0]["p"][0] = math.inf
+        path.write_text(json.dumps(obj))  # writes the literal Infinity
+        code, out, err = run([command, "--input", str(path)])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"invalid input {path}: OverflowError: cannot convert Infinity to integer ratio\n"
+
     def test_rich_threshold_zero(self):
         assert_one_line_exit(["rich", "--kind", "pencil", "--m", "1", "--n", "3", "--t", "0"],
                              cli.EXIT_USAGE)
@@ -117,6 +134,17 @@ class TestBadInput:
     def test_partition_too_few_points(self):
         assert_one_line_exit(["partition", "--kind", "random-tangency", "--m", "3", "--n", "0",
                               "--levels", "2"], cli.EXIT_INFEASIBLE)
+
+    def test_partition_lift_overflows_a_float(self, tmp_path):
+        # levels 1 and 2 lift to degree 1; level 3 needs x^2, about 10^600
+        rng = random.Random(1)
+        points = [{"p": [str(rng.randint(1, 9) * 10 ** 300), str(rng.randint(-50, 50))],
+                   "u": str(rng.randint(-50, 50))} for _ in range(16)]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"kind": "tangency", "points": points, "curves": []}))
+        code, out, err = run(["partition", "--input", str(path), "--levels", "3"])
+        assert (code, out) == (cli.EXIT_INFEASIBLE, "")
+        assert err == "partition failed: coordinates too large for the float search\n"
 
     @pytest.mark.parametrize("command, fields", [
         ("count", {"threads": "2"}),
@@ -296,6 +324,16 @@ class TestConfigPrecedence:
         assert code == cli.EXIT_USAGE
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text", [b'{"m": 1' + b"0" * 5000 + b"}", b'{"m": 1\xff}'],
+                             ids=["past-the-digit-limit", "not-utf-8"])
+    def test_config_json_cannot_read(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        code, out, err = run(["count", "--config", str(cfg)])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("config parse error: ")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -345,6 +383,10 @@ class TestDualCmd:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f25da7d9f136ee2fc17bb5dc0ccdba59b9900b0c5e9b16432773774e0ac65aca")
 
+    def test_anchored_instance_rejected(self):
+        code, out, err = run(["dual", "--kind", "anchored-planted", "--m", "4", "--n", "2"])
+        assert (code, out, err) == (cli.EXIT_USAGE, "", "dual expects a tangency instance\n")
+
 
 class TestScan:
     def test_pencil_exponent_near_one(self):
@@ -357,6 +399,14 @@ class TestScan:
         code, out, _ = run(["scan", "--family", "pencil", "--base", "16",
                             "--steps", "3", "--format", "csv"])
         assert out.splitlines()[0] == "family,m,n,total,bound_ratio,seconds"
+
+    def test_sizes_that_do_not_vary_have_no_exponent(self):
+        # base 1 rounds every step up to the smallest grid, k = 2
+        code, out, _ = run(["scan", "--family", "st-grid", "--base", "1", "--steps", "3"])
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert list(payload) == ["family", "rows"]
+        assert [(r["m"], r["n"]) for r in payload["rows"]] == [(16, 16)] * 3
 
     def test_reproducible_modulo_seconds(self):
         def strip(s):
@@ -376,3 +426,91 @@ class TestVerifyCmd:
         assert code == cli.EXIT_OK
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == len(__import__("incidencelab.verify", fromlist=["CHECKS"]).CHECKS)
+
+
+# The grammar fuzzer: each example replaces one value of a valid instance or
+# config document and runs main in-process on the result.
+RAW = "raw JSON text"  # a marker: _dump puts the mutation's raw text in its place
+MUTATIONS = {
+    "wrong-type": lambda v: {dict: [], list: {}, str: 7.5}.get(type(v), "7"),
+    "bool": lambda v: True,
+    "null": lambda v: None,
+    "deep": lambda v: (RAW, "[" * 10_000 + "]" * 10_000),
+    "duplicate": lambda v: v + v[:1] if isinstance(v, list) else [v, v],
+    "Infinity": lambda v: math.inf,
+    "NaN": lambda v: math.nan,
+    "inf": lambda v: "inf",
+    "nan": lambda v: "nan",
+    "5000-digits": lambda v: (RAW, "1" * 5000),  # past Python's 4,300-digit int limit
+    "1e400": lambda v: "1e400",
+    "empty": lambda v: [],
+}
+FUZZ_KINDS = [["--kind", kind, "--m", "4", "--n", "2"]
+              for kind in ("random-tangency", "circle-sampled", "anchored-random", "anchored-planted")]
+FUZZ_KINDS.append(["--kind", "st-grid-horizontal-lines", "--m", "16", "--n", "16"])
+# Every config field but the two paths (a mutated --out would write a file).
+FUZZ_CONFIG = {**{key: opt.default for key, opt in cli.OPTIONS.items() if opt.default is not None},
+               "kind": "circle-sampled", "m": 4, "n": 2, "levels": 1, "epsilon": 0.5}
+FUZZ_RUNS = [["count"], ["generate"], ["dual"], ["partition", "--levels", "1"]]
+
+
+def _paths(doc, path=()):
+    """The path of every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield path + (key,)
+        yield from _paths(val, path + (key,))
+
+
+def _dump(doc, path, mutation) -> str:
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    new = MUTATIONS[mutation](parent[path[-1]])
+    raw = new[1] if isinstance(new, tuple) else None
+    parent[path[-1]] = RAW if raw else new
+    text = json.dumps(doc)  # NaN and infinities as the literals NaN, Infinity
+    return text.replace(json.dumps(RAW), raw) if raw else text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def fuzz_instances():
+    return [json.loads(run(["generate", *flags])[1]) for flags in FUZZ_KINDS]
+
+
+def assert_contract(argv):
+    code, out, err = run(argv)  # an exception escaping main fails the test here
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INFEASIBLE), (argv, code, err)
+    if code != cli.EXIT_OK:
+        assert (out, len(err.splitlines()), err.endswith("\n")) == ("", 1, True), (argv, err)
+        return
+    assert err == ""
+    if argv[0] == "generate":
+        inst = json.loads(out)
+        assert inst["planted"] == len({tuple(p) for p in inst["planted_pairs"]})
+
+
+class TestGrammarFuzzer:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None, phases=(Phase.generate,))
+    @given(data=st.data(), mutation=st.sampled_from(sorted(MUTATIONS)))
+    def test_one_mutated_instance_field(self, fuzz_dir, fuzz_instances, data, mutation):
+        doc = data.draw(st.sampled_from(fuzz_instances))
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        inst = fuzz_dir / "inst.json"
+        inst.write_text(_dump(doc, path, mutation))
+        for argv in FUZZ_RUNS:
+            assert_contract([*argv, "--input", str(inst)])
+
+    @settings(max_examples=90, derandomize=True, database=None, deadline=None, phases=(Phase.generate,))
+    @given(key=st.sampled_from(sorted(FUZZ_CONFIG)), mutation=st.sampled_from(sorted(MUTATIONS)))
+    def test_one_mutated_config_field(self, fuzz_dir, key, mutation):
+        cfg = fuzz_dir / "cfg.json"
+        cfg.write_text(_dump(FUZZ_CONFIG, (key,), mutation))
+        for argv in FUZZ_RUNS:
+            assert_contract([*argv, "--config", str(cfg)])

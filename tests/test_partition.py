@@ -83,6 +83,20 @@ class TestBuild:
             build_partition(pts, 1, 0.01, seed=8)
         assert err.value.best_epsilon > 0.01
 
+    @pytest.mark.filterwarnings("error")  # the float search overflows quietly
+    @pytest.mark.parametrize("exponent, m, levels", [(153, 16, 3), (152, 32, 4)], ids=["lift", "search"])
+    def test_coordinates_too_large_for_the_float_search(self, exponent, m, levels):
+        # level 3 lifts to degree 2: with coordinates up to 50 * 10^153 the
+        # lift overflows a float; with 50 * 10^152 the lift fits, and the
+        # search's sums of coefficient multiples overflow at level 4
+        rng = random.Random(1)
+        pts = [Vec3(rng.randint(1, 9) * 10 ** exponent + rng.randint(0, 10 ** 6),
+                    rng.randint(-50, 50) * 10 ** exponent, rng.randint(-50, 50) * 10 ** exponent)
+               for _ in range(m)]
+        with pytest.raises(PartitionError, match="^coordinates too large for the float search$") as err:
+            build_partition(pts, levels, 0.3, seed=1)
+        assert err.value.best_epsilon is None
+
     def test_search_sees_the_nonempty_sign_prefix_classes(self, monkeypatch):
         # every 5th point is put on the zero set of each factor: from level 2
         # on the search must see it at the spare label k, with size 0, and
