@@ -5,19 +5,20 @@ Configuration is a single JSON document; command-line flags override config
 fields (defaults < config < flags).  Each subcommand takes a flag only for
 the fields it reads (the OPTIONS table).  All outputs are deterministic given the
 seed, except the wall-clock seconds fields, which golden comparisons must
-ignore.  Exit codes: 0 ok, 1 usage, 2 verification failure, 3 infeasible
-spec.
+ignore.  Exit codes: 0 ok (also when the reader closes the pipe early), 1
+usage, 2 verification failure, 3 infeasible spec.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from .dual3 import circle_dual, dp_dual_line, rich_planes, rich_planes_to_json
+from .dual3 import circle_dual, rich_planes, rich_planes_to_json
 from .engine import CSV_HEADER, bound_ratio, count, exponent_fit, t_rich_points
 from .exact import Vec3
 from .generators import KINDS, GenSpec, InfeasibleSpecError, Instance, certify, gen, st_grid_k
@@ -244,7 +245,7 @@ def cmd_dual(cfg, stdout) -> int:
         raise UsageError("dual expects a tangency instance")
     payload = {
         "dual_points": [circle_dual(c).to_json() for c in inst.curves],
-        "dual_lines": [dp_dual_line(p).to_json() for p in inst.points],
+        "dual_lines": [p.to_json() for p in inst.points],  # a dual line is its directed point's {p, u}
     }
     if cfg["q"] >= 2:
         payload["rich_planes"] = rich_planes_to_json(rich_planes(inst.points, cfg["q"]))
@@ -253,17 +254,20 @@ def cmd_dual(cfg, stdout) -> int:
 
 
 def _scan_sizes(family: str, base: int, steps: int, z_levels: int) -> List[Tuple[int, int]]:
+    """The (m, n) of each step, in order; an st-grid size that rounds to an
+    earlier step's grid is dropped, so no instance is counted twice."""
     sizes = []
     for i in range(steps):
         target = base * (2 ** i)
         if family == "pencil":
-            sizes.append((1, target))
+            size = (1, target)
         elif family == "st-grid":
-            k = st_grid_k(target, z_levels)
-            actual = 2 * k ** 3 * z_levels
-            sizes.append((actual, actual))
+            actual = 2 * st_grid_k(target, z_levels) ** 3 * z_levels
+            size = (actual, actual)
         else:
-            sizes.append((target, target))
+            size = (target, target)
+        if size not in sizes:
+            sizes.append(size)
     return sizes
 
 
@@ -282,7 +286,7 @@ def cmd_scan(cfg, stdout) -> int:
             f"{family},{r['m']},{r['n']},{r['total']},{r['bound_ratio']:.6f},{r['seconds']:.6f}" for r in rows])
     else:
         result = {"family": family, "rows": rows}
-        try:  # too few positive totals, or sizes that do not vary
+        try:  # fewer than three rows with a positive total
             result["exponent"] = exponent_fit([(r["m"], r["n"], r["total"]) for r in rows])[0]
         except ValueError:
             pass
@@ -318,6 +322,8 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
         return COMMANDS[args.command](_merge_config(args), stdout)
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    except BrokenPipeError:  # the reader stopped early (| head): not an error of ours
+        return EXIT_OK
     except UsageError as exc:
         message, code = str(exc), EXIT_USAGE
     except OSError as exc:  # unreadable input, unwritable output
@@ -332,7 +338,12 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # as in main; the rest would fail the exit flush with "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -140,9 +140,6 @@ class DualLine3:
         on_v = (pt.x - self.p.x) + self.u * (pt.y - self.p.y) == 0
         return on_nv and on_v
 
-    def to_json(self) -> dict:
-        return {"p": self.p.to_json(), "u": rat_to_str(self.u)}
-
 
 def dp_dual_line(dp: DirectedPoint) -> DualLine3:
     return DualLine3(dp.p, dp.u)
@@ -255,7 +252,7 @@ def rich_planes(dps: List[DirectedPoint], q: int) -> List[Tuple[PlaneKey, List[i
         if isinstance(plane, PowerPlane):
             tag = (0, plane.a, plane.b, plane.d)
         else:
-            tag = (1, Fraction(plane.a), Fraction(plane.b), Fraction(plane.c))
+            tag = (1, plane.a, plane.b, plane.c)
         return (-len(members), tag)
 
     return sorted(((plane, sorted(members)) for plane, members in planes.items() if len(members) >= q),

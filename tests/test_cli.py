@@ -37,12 +37,26 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     def test_python_m_help(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "incidencelab", "--help"], env=env,
+        proc = subprocess.run([sys.executable, "-m", "incidencelab", "--help"], env=_module_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: incidencelab")
+
+    @pytest.mark.parametrize("m, n, read", [(400, 200, 100), (4, 2, 0)], ids=["in-main", "at-exit-flush"])
+    def test_reader_closing_the_pipe_early_is_not_an_error(self, m, n, read):
+        # | head -c 100: the ~230 kB document overfills the pipe, so main's own
+        # write fails; the small one still sits in stdout's buffer at exit
+        env = _module_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "incidencelab", "generate", "--kind", "anchored-planted",
+                "--m", str(m), "--n", str(n)]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert len(head) == read
+        assert (code, err) == (cli.EXIT_OK, "")
 
     def test_infeasible_spec(self):
         code, _, err = run(["count", "--kind", "pencil", "--m", "3", "--n", "5"])
@@ -52,6 +66,12 @@ class TestExitCodes:
     def test_ok(self):
         code, _, _ = run(["count", "--kind", "pencil", "--m", "1", "--n", "5"])
         assert code == cli.EXIT_OK
+
+
+def _module_env():
+    """The environment for ``python -m incidencelab``, with this source tree first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def assert_one_line_exit(argv, code_wanted):
@@ -401,12 +421,18 @@ class TestScan:
         assert out.splitlines()[0] == "family,m,n,total,bound_ratio,seconds"
 
     def test_sizes_that_do_not_vary_have_no_exponent(self):
-        # base 1 rounds every step up to the smallest grid, k = 2
+        # base 1 rounds every step up to the smallest grid, k = 2, counted once
         code, out, _ = run(["scan", "--family", "st-grid", "--base", "1", "--steps", "3"])
         assert code == cli.EXIT_OK
         payload = json.loads(out)
         assert list(payload) == ["family", "rows"]
-        assert [(r["m"], r["n"]) for r in payload["rows"]] == [(16, 16)] * 3
+        assert [(r["m"], r["n"]) for r in payload["rows"]] == [(16, 16)]
+
+    def test_st_grid_sizes_that_round_alike_are_counted_once(self):
+        # targets 16, 32, 64, 128 round to the grids k = 2, 3, 3, 4
+        code, out, _ = run(["scan", "--family", "st-grid", "--base", "16", "--steps", "4"])
+        assert code == cli.EXIT_OK
+        assert [r["m"] for r in json.loads(out)["rows"]] == [16, 54, 128]
 
     def test_reproducible_modulo_seconds(self):
         def strip(s):

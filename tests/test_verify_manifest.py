@@ -1,7 +1,11 @@
 """The verify suite must cover every invariant promised by the modules;
 dropping a check from the registry is a build failure here."""
 
-from incidencelab import verify
+import random
+
+import pytest
+
+from incidencelab import anchored, generators, partition, verify
 from incidencelab.verify import CHECKS, CheckFailed, run_suite
 
 REQUIRED_CHECKS = {
@@ -17,7 +21,6 @@ REQUIRED_CHECKS = {
     # anchored space
     "anchored-pair-bound",
     "anchored-dual-uniqueness",
-    "lift-tangency-equivalence",
     "cubic-surface-vanishing",
     "lifted-pair-bound",
     # dual 3-space
@@ -34,7 +37,6 @@ REQUIRED_CHECKS = {
     "partition-balance",
     "partition-degree-accounting",
     "partition-crossing-soundness",
-    "partition-bezout-bound",
     # generators
     "generator-seed-determinism",
     "generator-planted-soundness",
@@ -78,3 +80,38 @@ def test_failed_and_crashed_checks_fail_the_suite(monkeypatch):
     assert len(lines) == 2
     assert lines[0].startswith("[FAIL] fails: boom (")
     assert lines[1].startswith("[FAIL] crashes: exception: ValueError(")
+
+
+# Each fault below is caught by the one check that makes its claim, as no
+# second check repeats it; these show that check still catches the fault.
+
+
+def test_master_duality_catches_a_broken_lift(monkeypatch):
+    # what lift-tangency-equivalence checked: lifted_contains == is_tangent
+    monkeypatch.setattr(anchored, "lifted_contains", lambda lc, pt: False)
+    with pytest.raises(CheckFailed, match="duality mismatch"):
+        CHECKS["master-duality"](random.Random(1), 0.02)
+
+
+def test_crossing_soundness_catches_a_total_past_bezout(monkeypatch):
+    # what partition-bezout-bound checked: total <= 4 * degree budget
+    real = partition.curve_crossings
+
+    def inflated(curve, pp):
+        return partition.CrossingReport(4 * pp.degree_budget + 1, real(curve, pp).per_factor)
+
+    monkeypatch.setattr(partition, "curve_crossings", inflated)
+    with pytest.raises(CheckFailed, match="exceed Bezout bound"):
+        CHECKS["partition-crossing-soundness"](random.Random(1), 0.02)
+
+
+def test_uncertified_planted_pairs_fail_as_a_check(monkeypatch):
+    def refuse(inst):
+        raise ValueError("planted pair (0, 0) failed the exact re-check")
+
+    monkeypatch.setattr(generators, "certify", refuse)
+    monkeypatch.setattr(verify, "CHECKS", {"generator-planted-soundness": CHECKS["generator-planted-soundness"]})
+    lines = []
+    assert run_suite(quick=True, seed=1, log=lines.append) is False
+    assert lines[0].startswith(
+        "[FAIL] generator-planted-soundness: pencil: planted pair (0, 0) failed the exact re-check (")
