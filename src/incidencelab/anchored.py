@@ -45,7 +45,8 @@ class AnchoredCircle:
 
 
 def int_anchored(g: AnchoredCircle) -> Tuple[int, ...]:
-    return (int(g.n.x), int(g.n.y), int(g.n.z)) + int_vec3(g.c)
+    n = g.n
+    return (n.x.numerator, n.y.numerator, n.z.numerator) + int_vec3(g.c)
 
 
 def pair_anchored(P: tuple, C: tuple) -> bool:
@@ -140,9 +141,19 @@ def circle_from_params(params: DualAnchoredParams) -> AnchoredCircle:
 
 def _rotate(v: Vec3, a: Vec3, t: Fraction) -> Vec3:
     """Rational (Cayley, tan-half) rotation of v, orthogonal to a, about the
-    axis a: ((1 - |a|^2 t^2) v + 2 t (a x v)) / (1 + |a|^2 t^2)."""
-    k = a.norm2() * t * t
-    return (v.scale(1 - k) + a.cross(v).scale(2 * t)).scale(Fraction(1) / (1 + k))
+    axis a: ((1 - |a|^2 t^2) v + 2 t (a x v)) / (1 + |a|^2 t^2).  With
+    v = V / dv, a = A / da and t = tn / td it is computed in integers over the
+    one denominator (1 + |a|^2 t^2) dv (da td)^2 = dv (q + k)."""
+    tn, td = t.numerator, t.denominator
+    vx, vy, vz, dv = int_vec3(v)
+    ax, ay, az, da = int_vec3(a)
+    q = da * da * td * td
+    k = (ax * ax + ay * ay + az * az) * tn * tn
+    b = 2 * tn * td * da  # 2 t times (da td)^2 / da, the cross product's own denominator
+    e = dv * (q + k)
+    return Vec3(Fraction((q - k) * vx + b * (ay * vz - az * vy), e),
+                Fraction((q - k) * vy + b * (az * vx - ax * vz), e),
+                Fraction((q - k) * vz + b * (ax * vy - ay * vx), e))
 
 
 def center_circle_point(p: Vec3, base_center: Vec3, t: RatLike) -> Vec3:

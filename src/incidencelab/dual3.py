@@ -37,9 +37,14 @@ class Line3:
     direction: Vec3
 
     def __init__(self, point: Vec3, direction: Vec3):
+        # foot P - v (P.v) / |v|^2 = (P |v|^2 - v (P.v)) / (d |v|^2), P = (px, py, pz) / d
         direction = primitive_int_vec3(direction)
-        t = point.dot(direction) / direction.norm2()
-        foot = point - direction.scale(t)
+        vx, vy, vz = direction.x.numerator, direction.y.numerator, direction.z.numerator
+        px, py, pz, d = int_vec3(point)
+        n2 = vx * vx + vy * vy + vz * vz
+        s = px * vx + py * vy + pz * vz
+        e = d * n2
+        foot = Vec3(Fraction(px * n2 - vx * s, e), Fraction(py * n2 - vy * s, e), Fraction(pz * n2 - vz * s, e))
         object.__setattr__(self, "point", foot)
         object.__setattr__(self, "direction", direction)
 
@@ -56,7 +61,7 @@ class Line3:
 
 def int_line3(line: Line3) -> Tuple[int, ...]:
     v = line.direction
-    return int_vec3(line.point) + (int(v.x), int(v.y), int(v.z))
+    return int_vec3(line.point) + (v.x.numerator, v.y.numerator, v.z.numerator)
 
 
 def pair_lines3(P: tuple, C: tuple) -> bool:

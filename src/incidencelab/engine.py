@@ -1,9 +1,11 @@
 """Exact incidence counting with an optional floating-point prefilter.
 
-Exact mode clears denominators once per object and evaluates integer
-residuals over all m*n pairs.  Prefilter mode screens pairs with float
-residuals in tiles and confirms every survivor with the same integer
-predicate; the screen may only add candidates, never drop a true incidence.
+Both modes first clear each object's denominators once, in one pass over
+its coordinates (the kind's ``int_point`` and ``int_curve``); exact mode then
+evaluates integer residuals over all m*n pairs.  Prefilter mode screens pairs
+with float residuals in tiles and confirms every survivor with the same
+integer predicate; the screen may only add candidates, never drop a true
+incidence.
 Totals are identical in both modes and independent of the thread count
 (tiles merge by index).
 

@@ -18,7 +18,7 @@ RatLike = Union[Fraction, int]
 
 
 def rat(x: RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)  # isinstance would take the slow ABC path for ints
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -120,13 +120,21 @@ def _coords(obj, n: int) -> Tuple[Fraction, ...]:
 
 def clear_denominators(*xs: RatLike) -> Tuple[int, ...]:
     """(*N, D) with xs = N / D and D the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in xs))
-    return (*(x.numerator * (d // x.denominator) for x in xs), d)
+    d = lcm(*[x.denominator for x in xs])
+    return (*[x.numerator * (d // x.denominator) for x in xs], d)
+
+
+def _clear3(x: Fraction, y: Fraction, z: Fraction) -> Tuple[int, int, int, int]:
+    """``clear_denominators`` of three values, unrolled: it runs once per
+    object on every count."""
+    a, b, c = x.denominator, y.denominator, z.denominator
+    d = lcm(a, b, c)
+    return (x.numerator * (d // a), y.numerator * (d // b), z.numerator * (d // c), d)
 
 
 def int_vec3(v: Vec3) -> Tuple[int, int, int, int]:
     """(x, y, z, d): v = (x, y, z) / d over the lcm d of its denominators."""
-    return clear_denominators(v.x, v.y, v.z)
+    return _clear3(v.x, v.y, v.z)
 
 
 def rand_tan_half(rng) -> Fraction:
@@ -136,14 +144,10 @@ def rand_tan_half(rng) -> Fraction:
 
 def primitive_int_vec3(v: Vec3) -> Vec3:
     """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
-    if v.is_zero():
-        raise ValueError("zero vector has no primitive form")
     nx, ny, nz, _ = int_vec3(v)
     g = gcd(nx, ny, nz)
-    nx, ny, nz = nx // g, ny // g, nz // g
-    for c in (nx, ny, nz):
-        if c != 0:
-            if c < 0:
-                nx, ny, nz = -nx, -ny, -nz
-            break
-    return Vec3(nx, ny, nz)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    if nx < 0 or (nx == 0 and (ny < 0 or (ny == 0 and nz < 0))):
+        g = -g
+    return Vec3(nx // g, ny // g, nz // g)

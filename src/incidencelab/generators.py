@@ -4,7 +4,10 @@ Every kind is deterministic in its seed, and every planted incidence is
 re-checked with the engine's exact predicate before the instance ships;
 ``certify`` re-checks the planted pairs of a loaded instance the same way.
 Random rationals are drawn as numerator/denominator pairs from configured
-bounds, then canonicalized, which keeps bit growth under control downstream.
+bounds.  Each object is built from the drawn integers: tests such as p != w
+and derived values such as a squared radius run on them, and each coordinate
+becomes a canonical Fraction once, which keeps bit growth under control
+downstream.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from .anchored import (
     AnchoredCircle,
     anchored_point_sample,
     h_p_sample,
+    int_anchored,
     sphere_point,
     tangent_basis,
 )
 from .dual3 import Line3
 from .engine import KINDS as ENGINE_KINDS
-from .exact import Vec2, Vec3
+from .exact import Vec2, Vec3, int_vec3
 from .polynomials import MPoly, resultant
 from .tangency import Circle2, DirectedPoint, tangent_circle, tangent_point_sample
 
@@ -85,22 +89,40 @@ class Instance:
         return Instance(kind.name, pts, cvs, pairs)
 
 
-def rand_rat(rng: random.Random, mag: int = 100, den: int = 100) -> Fraction:
+def _rand_nd(rng: random.Random, mag: int, den: int) -> Tuple[int, int]:
+    """A numerator and denominator drawn for a rational of size at most mag."""
     d = rng.randint(1, den)
-    return Fraction(rng.randint(-mag * d, mag * d), d)
+    return rng.randint(-mag * d, mag * d), d
+
+
+def rand_rat(rng: random.Random, mag: int = 100, den: int = 100) -> Fraction:
+    return Fraction(*_rand_nd(rng, mag, den))
 
 
 def _rand_dp(rng, mag=100, den=100) -> DirectedPoint:
     return DirectedPoint(Vec2(rand_rat(rng, mag, den), rand_rat(rng, mag, den)), rand_rat(rng, mag, den))
 
 
+def _draw_circle(rng, mag: int, den: int) -> Tuple[Circle2, int, int, int, int]:
+    """Random circle as r2 = |p - w|^2, with the point p = (px/pxd, py/pyd)
+    as it was drawn.  The test p != w and r2 run on the drawn integers, with
+    p - w = (ax/bx, ay/by); only w and r2 become Fractions."""
+    while True:
+        wx, wxd = _rand_nd(rng, mag, den)
+        wy, wyd = _rand_nd(rng, mag, den)
+        px, pxd = _rand_nd(rng, mag, den)
+        py, pyd = _rand_nd(rng, mag, den)
+        ax, bx = px * wxd - wx * pxd, pxd * wxd
+        ay, by = py * wyd - wy * pyd, pyd * wyd
+        if ax or ay:
+            r2 = Fraction(ax * ax * by * by + ay * ay * bx * bx, bx * bx * by * by)
+            return Circle2(Vec2(Fraction(wx, wxd), Fraction(wy, wyd)), r2), px, pxd, py, pyd
+
+
 def _rand_circle(rng, mag=100, den=100) -> Tuple[Circle2, Vec2]:
     """Random circle as r2 = |p - w|^2 from a rational point, plus the point."""
-    while True:
-        w = Vec2(rand_rat(rng, mag, den), rand_rat(rng, mag, den))
-        p = Vec2(rand_rat(rng, mag, den), rand_rat(rng, mag, den))
-        if p != w:
-            return Circle2(w, (p - w).norm2()), p
+    c, px, pxd, py, pyd = _draw_circle(rng, mag, den)
+    return c, Vec2(Fraction(px, pxd), Fraction(py, pyd))
 
 
 def rand_anchored_circle(rng) -> AnchoredCircle:
@@ -142,7 +164,7 @@ def gen(spec: GenSpec) -> Tuple[Instance, int]:
 def _gen_random_tangency(spec: GenSpec, rng) -> Instance:
     mag, den = spec.coord_range, spec.den_bound
     points = [_rand_dp(rng, mag, den) for _ in range(spec.m)]
-    curves = [_rand_circle(rng, mag, den)[0] for _ in range(spec.n)]
+    curves = [_draw_circle(rng, mag, den)[0] for _ in range(spec.n)]
     return Instance("tangency", points, curves)
 
 
@@ -256,12 +278,12 @@ def _gen_anchored_planted(spec: GenSpec, rng) -> Instance:
     while hub.norm2() >= 4:
         hub = anchored_point_sample(base, rng)
     curves: List[AnchoredCircle] = []
-    seen = set()
+    seen = set()  # cleared integer forms: canonical, and cheaper to hash than Fractions
     guard = 0
     while len(curves) < spec.n and guard < 50 * spec.n:
         guard += 1
         g = h_p_sample(hub, 1, rng, base_center=base.c)[0]
-        key = (g.c, g.n)
+        key = int_anchored(g)
         if key in seen:
             continue
         seen.add(key)
@@ -270,16 +292,17 @@ def _gen_anchored_planted(spec: GenSpec, rng) -> Instance:
         raise InfeasibleSpecError("could not build enough distinct circles")
     points: List[Vec3] = [hub]
     pairs: List[Tuple[int, int]] = [(0, j) for j in range(spec.n)]
-    existing = {hub}
+    existing = {int_vec3(hub)}
     j = 0
     while len(points) < spec.m:
         x = anchored_point_sample(curves[j % spec.n], rng)
-        if x in existing:
+        key = int_vec3(x)
+        if key in existing:
             j += 1
             continue
         idx = len(points)
         points.append(x)
-        existing.add(x)
+        existing.add(key)
         pairs.append((idx, j % spec.n))
         j += 1
     return Instance("anchored", points, curves, pairs)

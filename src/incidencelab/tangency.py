@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RatLike, Vec2, clear_denominators, rand_tan_half, rat, rat_from_str, rat_to_str
+from .exact import RatLike, Vec2, _clear3, clear_denominators, rand_tan_half, rat, rat_from_str, rat_to_str
 
 
 class VerticalTangent(Exception):
@@ -50,7 +50,7 @@ class Circle2:
 
     def __init__(self, center: Vec2, r2: RatLike):
         r2 = rat(r2)
-        if r2 <= 0:
+        if r2.numerator <= 0:
             raise ValueError("circle needs positive squared radius")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "r2", r2)
@@ -96,11 +96,14 @@ class Line2:
 
 
 def int_dp(dp: DirectedPoint) -> Tuple[int, int, int, int]:
-    return clear_denominators(dp.p.x, dp.p.y, dp.u)
+    return _clear3(dp.p.x, dp.p.y, dp.u)
 
 
 def int_circle(c: Circle2) -> Tuple[int, int, int, int, int]:
-    return clear_denominators(c.center.x, c.center.y) + (c.r2.numerator, c.r2.denominator)
+    x, y, r2 = c.center.x, c.center.y, c.r2
+    a, b = x.denominator, y.denominator
+    d = math.lcm(a, b)
+    return (x.numerator * (d // a), y.numerator * (d // b), d, r2.numerator, r2.denominator)
 
 
 def pair_tangency(P: tuple, C: tuple) -> bool:
@@ -253,14 +256,16 @@ def tangent_at(c: Circle2, p: Vec2) -> DirectedPoint:
 
 
 def rotate_on_circle(c: Circle2, p: Vec2, t: RatLike) -> Vec2:
-    """Rational rotation of the on-circle point p by tan-half parameter t."""
+    """Rational rotation of the on-circle point p by tan-half parameter t:
+    c + ((1 - t^2) d + 2 t (-d.y, d.x)) / (1 + t^2) with d = p - c.  With
+    t = tn / td it is computed in integers over the one denominator
+    (1 + t^2) td^2 den, den the lcm of the denominators of c and p."""
     t = rat(t)
-    d = p - c.center
-    den = 1 + t * t
-    return c.center + Vec2(
-        ((1 - t * t) * d.x - 2 * t * d.y) / den,
-        (2 * t * d.x + (1 - t * t) * d.y) / den,
-    )
+    tn, td = t.numerator, t.denominator
+    cx, cy, px, py, den = clear_denominators(c.center.x, c.center.y, p.x, p.y)
+    dx, dy = px - cx, py - cy
+    a, b, s = td * td - tn * tn, 2 * tn * td, td * td + tn * tn  # 1 - t^2, 2t, 1 + t^2, times td^2
+    return Vec2(Fraction(cx * s + a * dx - b * dy, den * s), Fraction(cy * s + b * dx + a * dy, den * s))
 
 
 def tangent_point_sample(c: Circle2, base: Vec2, rng) -> DirectedPoint:

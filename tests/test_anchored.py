@@ -10,6 +10,7 @@ from incidencelab.generators import _rand_circle, _rand_dp, rand_rat
 from incidencelab.anchored import (
     AnchoredCircle,
     LiftedCircle,
+    _rotate,
     anchored_incident,
     anchored_pair_intersections,
     anchored_point,
@@ -317,3 +318,17 @@ def test_anchored_point_parameterization():
         assert anchored_point(g, 0) == Vec3(0, 0, 0)
         p = anchored_point(g, rand_rat(rng, 10, 10))
         assert anchored_incident(p, g)
+
+
+def rotate_oracle(v: Vec3, a: Vec3, t: Fraction) -> Vec3:
+    """The Cayley rotation ((1 - k) v + 2 t (a x v)) / (1 + k), k = |a|^2 t^2,
+    by Fraction arithmetic alone."""
+    k = a.norm2() * t * t
+    return (v.scale(1 - k) + a.cross(v).scale(2 * t)).scale(Fraction(1) / (1 + k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(st.lists(st.just(Fraction(0)) | HUGE, min_size=7, max_size=7))
+def test_rotate_matches_fraction_oracle_at_huge_magnitude(coords):
+    v, a, t = Vec3(*coords[:3]), Vec3(*coords[3:6]), coords[6]
+    assert _rotate(v, a, t) == rotate_oracle(v, a, t)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from incidencelab import cli
+from incidencelab import cli, verify
 
 
 def run(argv):
@@ -451,7 +451,37 @@ class TestVerifyCmd:
         code, out, _ = run(["verify", "--quick", "--seed", "11"])
         assert code == cli.EXIT_OK
         assert "[FAIL]" not in out
-        assert out.count("[PASS]") == len(__import__("incidencelab.verify", fromlist=["CHECKS"]).CHECKS)
+        assert out.count("[PASS]") == len(verify.CHECKS)
+
+    def test_reader_closing_the_pipe_early_still_reports_a_later_failure(self, monkeypatch):
+        # verify | head -1 on an unbuffered stdout: the second line's write
+        # fails, and a check that fails after that must still set exit 2
+        ran = []
+
+        def passing(rng, scale):
+            ran.append("pass")
+            return "ok"
+
+        def failing(rng, scale):
+            ran.append("fail")
+            raise verify.CheckFailed("planted failure")
+
+        monkeypatch.setattr(verify, "CHECKS", {"first": passing, "second": passing, "last": failing})
+
+        class ClosingPipe(io.StringIO):
+            writes = 0
+
+            def write(self, s):  # print writes the message, then the newline
+                self.writes += 1
+                if self.writes >= 3:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(s)
+
+        out, err = ClosingPipe(), io.StringIO()
+        code = cli.main(["verify", "--quick"], stdout=out, stderr=err)
+        assert (code, err.getvalue()) == (cli.EXIT_VERIFY, "")
+        assert out.getvalue().startswith("[PASS] first: ok") and out.getvalue().count("\n") == 1
+        assert ran == ["pass", "pass", "fail"]
 
 
 # The grammar fuzzer: each example replaces one value of a valid instance or

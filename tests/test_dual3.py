@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -404,3 +405,36 @@ def test_line3_canonicalization():
     l2 = Line3(Vec3(1, 5, 0), Vec3(0, -1, 0))
     assert l1 == l2
     assert l1.contains(Vec3(1, -7, 0))
+
+
+def line3_oracle(point: Vec3, direction: Vec3):
+    """Line3's canonical form by Fraction arithmetic alone: the direction
+    scaled to coprime integers with its first nonzero entry positive, and the
+    foot P - v (P.v) / |v|^2 of the perpendicular from the origin."""
+    coords = (direction.x, direction.y, direction.z)
+    den = 1
+    for c in coords:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in coords]
+    g = math.gcd(*ints)
+    first = next(c for c in ints if c != 0)
+    v = Vec3(*(Fraction(c, g if first > 0 else -g) for c in ints))
+    t = point.dot(v) / v.norm2()
+    return point - v.scale(t), v
+
+
+# Direction components are often zero, so the sign rule meets every position.
+HUGE_OR_ZERO = st.just(Fraction(0)) | HUGE
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(st.lists(HUGE, min_size=3, max_size=3), st.lists(HUGE_OR_ZERO, min_size=3, max_size=3))
+def test_line3_matches_fraction_oracle_at_huge_magnitude(point, direction):
+    point, direction = Vec3(*point), Vec3(*direction)
+    if direction.is_zero():
+        with pytest.raises(ValueError):
+            Line3(point, direction)
+        return
+    line = Line3(point, direction)
+    assert (line.point, line.direction) == line3_oracle(point, direction)
+    assert Line3.from_json(line.to_json()) == line

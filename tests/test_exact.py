@@ -1,15 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from incidencelab.exact import (
     Vec2,
     Vec3,
+    clear_denominators,
+    int_vec3,
     primitive_int_vec3,
     rat_from_str,
     rat_to_str,
 )
+from incidencelab.tangency import Circle2, DirectedPoint, int_circle, int_dp
 
 
 class TestRationalWireFormat:
@@ -49,3 +55,25 @@ class TestPrimitive:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             primitive_int_vec3(Vec3(0, 0, 0))
+
+
+# Huge numerators over huge denominators, mixed with integers (unit denominators).
+MIXED = (st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 64))
+         | st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(st.lists(MIXED, min_size=1, max_size=6))
+def test_clear_denominators_at_huge_magnitude(xs):
+    *nums, d = clear_denominators(*xs)
+    assert d == math.lcm(*(x.denominator for x in xs))
+    assert [Fraction(n, d) for n in nums] == xs
+    if len(xs) == 2:  # the unrolled clearings agree with the general one
+        assert int_circle(Circle2(Vec2(*xs), 1)) == (*nums, d, 1, 1)
+    if len(xs) == 3:
+        assert int_vec3(Vec3(*xs)) == int_dp(DirectedPoint(Vec2(*xs[:2]), xs[2])) == (*nums, d)
+        v = primitive_int_vec3(Vec3(*xs)) if any(xs) else None
+        if v is not None:  # coprime, first nonzero positive, parallel to xs
+            assert math.gcd(int(v.x), int(v.y), int(v.z)) == 1
+            assert next(c for c in (v.x, v.y, v.z) if c) > 0
+            assert Vec3(*xs).cross(v).is_zero()

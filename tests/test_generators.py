@@ -8,6 +8,7 @@ import pytest
 from incidencelab.dual3 import dual_incidence
 from incidencelab.engine import count
 from incidencelab.generators import (
+    GENERATORS,
     GenSpec,
     Instance,
     InfeasibleSpecError,
@@ -114,26 +115,38 @@ class TestAnchored:
         report = count(inst.points, inst.curves)
         assert report.total == planted
         assert report.per_point == [40] + [1] * 49
-        payload = json.dumps(inst.to_json(), sort_keys=True).encode()
-        assert hashlib.sha256(payload).hexdigest() == (
-            "f76264b9834fbc82c4beffe221a37f35392f5b83bea0dc058e79565e84e4c73c")
-
-    @pytest.mark.parametrize("spec, digest", [
-        (GenSpec("pencil", 1, 30, seed=3),
-         "997189f893a90e93f6d8f739a93b89162e514d52b21bc2043d5e9f45c954e619"),
-        (GenSpec("circle-sampled", 40, 10, seed=4),
-         "b6ea0cf5376bbbeef31c5550cc9e67df84ee55afb4c4df4067fefb672e9d8e6d"),
-    ])
-    def test_tangency_instances_pinned(self, spec, digest):
-        # same draws, same Fractions: the sorted-key instance JSON is pinned
-        inst, _ = gen(spec)
-        payload = json.dumps(inst.to_json(), sort_keys=True).encode()
-        assert hashlib.sha256(payload).hexdigest() == digest
 
     def test_planted_counted_by_engine(self):
         inst, planted = gen(GenSpec("anchored-planted", 30, 20, seed=10))
         total = count(inst.points, inst.curves).total
         assert total >= planted
+
+
+PINNED = [
+    (GenSpec("pencil", 1, 30, seed=3),
+     "997189f893a90e93f6d8f739a93b89162e514d52b21bc2043d5e9f45c954e619", 0.5341030849894441),
+    (GenSpec("circle-sampled", 40, 10, seed=4),
+     "b6ea0cf5376bbbeef31c5550cc9e67df84ee55afb4c4df4067fefb672e9d8e6d", 0.5462300441463859),
+    (GenSpec("random-tangency", 40, 30, seed=5),
+     "a36c9e8089c373e5560ef750a3b0e100de295816cbd2bac2ffeef2fe060ad280", 0.7326342704148535),
+    (GenSpec("st-grid-horizontal-lines", 432, 432, seed=0, z_levels=2),
+     "0fae82c4f78f658a9ec457cffc9aa21e159cfc3e33749e491dca84d4fbf0aa69", 0.8444218515250481),
+    (GenSpec("anchored-random", 30, 15, seed=8),
+     "a943dc29b3d7e7ea82d758ec903b0438b37ecb12ed48c7928b8a42ada9ef5f75", 0.8277308209587193),
+    (GenSpec("anchored-planted", 50, 40, seed=9),
+     "f76264b9834fbc82c4beffe221a37f35392f5b83bea0dc058e79565e84e4c73c", 0.06559688910787764),
+]
+
+
+@pytest.mark.parametrize("spec, digest, next_draw", PINNED, ids=[spec.kind for spec, _, _ in PINNED])
+def test_instances_and_draws_pinned(spec, digest, next_draw):
+    # same draws, same Fractions: the sorted-key instance JSON is pinned,
+    # and so is the generator's next draw, which counts the draws made
+    rng = random.Random(spec.seed)
+    inst = GENERATORS[spec.kind](spec, rng)
+    payload = json.dumps(inst.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
+    assert rng.random() == next_draw
 
 
 class TestInstanceJson:

@@ -370,3 +370,18 @@ def test_line2_canonical_form():
     assert Line2(-2, 4, -6) == Line2(1, -2, 3)
     with pytest.raises(ValueError):
         Line2(0, 0, 5)
+
+
+def rotate_on_circle_oracle(c: Circle2, p: Vec2, t: Fraction) -> Vec2:
+    """c + ((1 - t^2) d + 2 t (-d.y, d.x)) / (1 + t^2), d = p - c, by
+    Fraction arithmetic alone."""
+    d = p - c.center
+    den = 1 + t * t
+    return c.center + Vec2(((1 - t * t) * d.x - 2 * t * d.y) / den, (2 * t * d.x + (1 - t * t) * d.y) / den)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(st.lists(st.just(Fraction(0)) | HUGE, min_size=5, max_size=5), HUGE.filter(bool))
+def test_rotate_on_circle_matches_fraction_oracle_at_huge_magnitude(coords, r2):
+    c, p, t = Circle2(Vec2(*coords[:2]), abs(r2)), Vec2(*coords[2:4]), coords[4]
+    assert rotate_on_circle(c, p, t) == rotate_on_circle_oracle(c, p, t)
