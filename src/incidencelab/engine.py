@@ -21,20 +21,25 @@ one matrix product:
     tangency  circle     (|p|^2, 1, px, py) . (1, |c|^2 - r^2, -2cx, -2cy)
               direction  (u py, u, px, 1)   . (1, -cy, 1, -cx)
     anchored  sphere     (|p|^2, px, py, pz) . (1, -2cx, -2cy, -2cz)
-              plane      (px, py, pz) . (nx, ny, nz)
+              plane      (px, py, pz) . (nx, ny, nz) / 2^s
     lines3    p x v - q x v, one column per component of the cross product
               against (px, py, pz, 1); z first, because on a horizontal line
               the x and y components vanish on a whole plane of points
 
 The anchored sphere residual drops |c|^2 - 1, which is exactly 0 since
-``AnchoredCircle`` enforces |c| = 1.
+``AnchoredCircle`` enforces |c| = 1.  The plane column is the primitive
+integer normal over 2^s, s the bit length of its largest component, so every
+entry is below 1 in magnitude; the residual has the same zeros, and on dyadic
+inputs the floats stay exact.
 
 Tolerance.  M >= 1 is the largest magnitude among the float point coordinates
-(and u) and the curve's centre or base point, r^2, normal or direction; tau is
-64*eps*(M^2 + M + 1) for tangency and 64*eps*(M^2 + 1) otherwise, per
-residual (eps = FLOAT_EPS).  Every lifted entry is one int / int (or int to
-float) of the cleared integers, correctly rounded, so its relative error is
-at most u = eps/2.  A k-term dot product of such entries, summed in any order
+(and u) and the curve's centre or base point, r^2 or direction.  It leaves
+out the anchored normal, whose scaled entries are below 1, so the anchored M
+is set by the points alone (|c| = 1).  tau is 64*eps*(M^2 + M + 1) for
+tangency and 64*eps*(M^2 + 1) otherwise, per residual (eps = FLOAT_EPS).
+Every lifted entry is one int / int (or int to float) of the cleared
+integers, correctly rounded, so its relative error is at most u = eps/2.
+A k-term dot product of such entries, summed in any order
 and with or without FMA, is within gamma_(k+2) * S of the exact residual,
 where S is the sum of the exact terms' magnitudes and gamma_j = j*u / (1 -
 j*u) < 3.0001*eps for j <= 6: one rounding per product and per addition
@@ -45,21 +50,24 @@ coordinate at most M(1 + u):
     tangency  circle     S <= 2M^2 + (2M^2 + M) + 4M^2 = 8M^2 + M
               direction  S <= M^2 + M^2 + M + M = 2M^2 + 2M
     anchored  sphere     S <= 3M^2 + 2|p| |c| <= 3M^2 + 2*sqrt(3)*M   (|c| = 1)
-              plane      S <= 3M^2
+              plane      S <= 3M <= 3M^2                  (|n_i| < 2^s)
     lines3    each       S <= M^2 + M^2 + 2M^2 = 4M^2
 
 so the error is below 24.1*eps*M^2 + 3.1*eps*M (tangency circle),
 6.1*eps*(M^2 + M) (direction), 9.1*eps*M^2 + 10.5*eps*M <= 14.4*eps*(M^2 + 1)
-(sphere, by 2M <= M^2 + 1), 9.1*eps*M^2 (plane) and 12.1*eps*M^2 (lines3),
-each under its tau.  Counting every rounding as a full eps instead of eps/2
-doubles each bound (about 48, 18 and 24 eps*M^2 for the circle, the sphere and
-lines3 at large M), which still stays under tau.
+(sphere, by 2M <= M^2 + 1), 9.1*eps*M <= 9.1*eps*M^2 (plane) and
+12.1*eps*M^2 (lines3), each under its tau.  Counting every rounding as a
+full eps instead of eps/2 doubles each bound (about 48, 18 and 24 eps*M^2
+for the circle, the sphere and lines3 at large M), which still stays under
+tau.
 
 For M <= SCREEN_MAX = 2^500 every lifted entry and partial sum is at most
 8M^2 + M < 2^1004, so residuals and tau are finite.  Otherwise, or when a
 float quantity overflows at conversion, prefilter mode confirms every pair
-exactly and reports tau = None.  An entry or product that falls below 2^-1022
-(say |p|^2 with denominators near 10^200) carries an absolute error of at
+exactly and reports tau = None.  A scaled normal entry is below 1 whatever
+the size of the normal, so no normal can force that fallback.  An entry or
+product that falls below 2^-1022 (say |p|^2 with denominators near 10^200,
+or a normal component far below the largest) carries an absolute error of at
 most 2^-1022 instead of a relative one, even if the BLAS flushes subnormals
 to zero.  Times a partner entry of at most 3M^2 and over at most four terms,
 that adds less than 2^-1010 * (M^2 + 1), which the floor tau >= 64*eps
@@ -105,6 +113,7 @@ class IncidenceReport:
             "total": self.total,
             "mode": self.mode,
             "kind": self.kind,
+            "tau": None if self.tau is None else list(self.tau),  # None: exact mode or the all-pairs fallback
             "seconds": self.seconds,
         }
         if histograms:
@@ -130,7 +139,7 @@ class Kind:
     int_point: Callable[[Any], tuple]  # object -> integer-cleared tuple
     int_curve: Callable[[Any], tuple]
     pair: Callable[[tuple, tuple], bool]  # exact predicate on cleared tuples
-    float_curve: Callable[[tuple], tuple]  # center or point, then r2, normal or direction
+    float_curve: Callable[[tuple], tuple]  # the curve's part of M: center or point, then r2 or direction
     # cleared tuple -> one float row (point) or column (curve) per residual;
     # a residual is the dot product of the two, and vanishes on incidences
     lift_point: Callable[[tuple], Tuple[tuple, ...]]
@@ -164,7 +173,8 @@ def _lift_point3_anchored(P) -> tuple:
 
 def _lift_anchored(C) -> tuple:
     nx, ny, nz, cx, cy, cz, e = C
-    return (1.0, -2 * cx / e, -2 * cy / e, -2 * cz / e), (float(nx), float(ny), float(nz))
+    k = 1 << max(abs(nx), abs(ny), abs(nz)).bit_length()  # |n_i| / k < 1
+    return (1.0, -2 * cx / e, -2 * cy / e, -2 * cz / e), (nx / k, ny / k, nz / k)
 
 
 def _lift_point3_lines(P) -> tuple:
@@ -183,7 +193,7 @@ KINDS: Tuple[Kind, ...] = (
          lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _lift_dp, _lift_circle,
          lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2),
     Kind("anchored", Vec3, AnchoredCircle, int_vec3, int_anchored, pair_anchored,
-         lambda C: _float3(C[3:]) + tuple(map(float, C[:3])), _lift_point3_anchored, _lift_anchored,
+         lambda C: _float3(C[3:]), _lift_point3_anchored, _lift_anchored,
          lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
     Kind("lines3", Vec3, Line3, int_vec3, int_line3, pair_lines3,
          lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _lift_point3_lines, _lift_line3,
@@ -235,9 +245,9 @@ def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
             else:
                 np.less_equal(res, t, out=hit)
                 mask &= hit
-            if not mask.any():  # np.nonzero on an empty tile costs more than the product
+            if not mask.any():  # an empty tile skips its remaining products and the index scan
                 return empty, empty
-        ii, jj = np.nonzero(mask)
+        ii, jj = np.divmod(np.flatnonzero(mask), j1 - j0)
         return ii + i0, jj + j0
 
     tiles = [(i0, min(i0 + tile, m), j0, min(j0 + tile, n))

@@ -313,6 +313,12 @@ class TestGenerateAndCount:
                           "--seed", "4", "--mode", "prefilter"])
         assert json.loads(out1)["total"] == json.loads(out2)["total"]
 
+    def test_count_json_carries_tau(self):
+        argv = ["count", "--kind", "anchored-planted", "--m", "30", "--n", "10", "--seed", "3", "--mode"]
+        screened, exact = (json.loads(run(argv + [mode])[1])["tau"] for mode in ("prefilter", "exact"))
+        assert len(screened) == 2 and all(0 < t < 1e-10 for t in screened)
+        assert exact is None
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path):

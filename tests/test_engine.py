@@ -12,6 +12,7 @@ from incidencelab.engine import (
     CSV_HEADER,
     KINDS,
     IncidenceReport,
+    _screen,
     bound_ratio,
     count,
     exponent_fit,
@@ -208,7 +209,7 @@ def test_every_accepted_type_pair(point_type, curve_type, kind):
     (GenSpec("circle-sampled", 40, 10, seed=3), "tangency", 40,
      (1.8263280376370447e-05,) * 2),
     (GenSpec("anchored-planted", 30, 10, seed=3), "anchored", 39,
-     (1.5645640161091477e+36,) * 2),
+     (6.066749127609677e-14,) * 2),
     (GenSpec("st-grid-horizontal-lines", 100, 100, seed=0), "lines3", 457,
      (1.4566126083082054e-11,) * 3),
 ])
@@ -239,6 +240,7 @@ def test_prefilter_matches_exact_at_huge_magnitude(kind, exponent):
     assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
         (exact.kind, exact.total, exact.per_point, exact.per_curve)
     assert pre.tau is None
+    assert pre.to_json()["tau"] is None  # the fallback shows in the report
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,26 @@ def test_screen_edges_are_reached(scale):
         assert KIND["tangency"].lift_point(KIND["tangency"].int_point(dp))[0][0] == 0.0
 
 
+def test_anchored_screen_takes_a_huge_normal():
+    # the plane column is the normal over a power of two, so a normal past the
+    # float range neither overflows nor sets the magnitude M
+    circle = AnchoredCircle(Vec3(0, 0, 1), Vec3(2 ** 1100 + 1, 2 ** 1100, 0))
+    points = [anchored_point(circle, t) for t in (1, 2, -3, Fraction(1, 5))] + [Vec3(1, 1, 1)]
+    pre = assert_screens_exactly(points, [circle])
+    assert pre.per_point == [1, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("kind, total", [("anchored-planted", 359), ("anchored-random", 0)])
+def test_anchored_screen_decides(kind, total):
+    # with M set by the points alone, the screen passes no pair that confirm drops
+    inst, _ = gen(GenSpec(kind, 300, 60, seed=3))
+    anchored = KIND["anchored"]
+    ipts = [anchored.int_point(p) for p in inst.points]
+    icvs = [anchored.int_curve(c) for c in inst.curves]
+    chunks, _ = _screen(anchored, ipts, icvs, 1, 1024)
+    assert sum(len(ii) for ii, _ in chunks) == count(inst.points, inst.curves).total == total
+
+
 # ---------------------------------------------------------------------------
 # Lift identity: on dyadic inputs every float is exact, so each row . column
 # must equal its residual evaluated in Fraction.
@@ -408,7 +430,8 @@ def test_lift_identity_anchored(px, py, pz, axis, sign, n1, n2):
     n[(axis + 1) % 3], n[(axis + 2) % 3] = n1, n2
     p, circle = Vec3(px, py, pz), AnchoredCircle(Vec3(*c), Vec3(*n))
     w = p - circle.c
-    assert lifted("anchored", p, circle) == [w.norm2() - 1, circle.n.dot(p)]
+    s = max(abs(x) for x in (circle.n.x, circle.n.y, circle.n.z)).numerator.bit_length()
+    assert lifted("anchored", p, circle) == [w.norm2() - 1, circle.n.dot(p) / 2 ** s]
 
 
 @PROPERTY
