@@ -14,6 +14,12 @@ integer sum with the factor cleared of its denominators.  Cells are
 sign-vector classes: a computable coarsening of the connected components
 (each true component lies inside one sign class), and every report says so
 via the cell model tag.
+
+Above SAMPLE points the search climbs on a fixed stratified sample of the
+classes, used as an epsilon-approximation: polynomial sign ranges have
+bounded VC-dimension (Agarwal, Matousek and Sharir 2013, after Haussler and
+Welzl 1987).  The threshold is still picked on all points, and the exact
+balance check on all points stays the gate.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .polynomials import (
 
 CELL_MODEL = "sign-vector classes (coarsening of connected components)"
 STARTS, SWEEPS, RETRIES = 40, 4, 6  # search starts (grown per retry), improvement sweeps, retries per level
+SAMPLE = 1024  # above this many points a level searches on a stratified sample of about this size
 
 
 class PartitionError(ValueError):
@@ -233,6 +240,61 @@ def _best_constant(
     return float(thetas[best]), (excess, float(imbalance[best]))
 
 
+def _sample(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Indices of the fixed stratified sample of about SAMPLE points.
+
+    Each nonempty class gives evenly spaced members of its own, in
+    proportion to its size and at least one; the spare class gives none.
+    Nothing is drawn at random, so a level's sample is the same on every
+    retry.
+    """
+    k = sizes.size - 1
+    total = int(sizes[:k].sum())
+    by_class = np.argsort(labels, kind="stable")
+    firsts = np.cumsum(sizes) - sizes
+    picks = []
+    for c in range(k):
+        n = int(sizes[c])
+        take = max(1, round(SAMPLE * n / total))
+        picks.append(by_class[firsts[c] + (2 * np.arange(take) + 1) * n // (2 * take)])
+    return np.sort(np.concatenate(picks))
+
+
+def _climb(
+    vals_matrix: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    target: float,
+    c: np.ndarray,
+    rng: random.Random,
+    sweeps: int,
+) -> Tuple[float, Tuple[float, float]]:
+    """Coordinate hill-climb of c in place: each sweep visits the coordinates
+    in a shuffled order and takes the first step that lowers the score, and
+    the climb stops after a sweep with no such step or with no excess left.
+    Returns the threshold and score of the final c."""
+    n_mono = vals_matrix.shape[1]
+    vals = vals_matrix[:, 1:] @ c
+    theta, score = _best_constant(vals, labels, sizes, target)
+    for _ in range(sweeps):
+        improved = False
+        order = list(range(n_mono - 1))
+        rng.shuffle(order)
+        for coord in order:
+            for delta in (1.0, -1.0, 4.0, -4.0, 16.0, -16.0):
+                trial = vals + delta * vals_matrix[:, 1 + coord]
+                t_theta, t_score = _best_constant(trial, labels, sizes, target)
+                if t_score < score:
+                    c[coord] += delta
+                    vals = trial
+                    theta, score = t_theta, t_score
+                    improved = True
+                    break
+        if score[0] == 0.0 or not improved:
+            break
+    return theta, score
+
+
 def _search_level(
     vals_matrix: np.ndarray,
     labels: np.ndarray,
@@ -243,10 +305,25 @@ def _search_level(
 ) -> Tuple[float, np.ndarray]:
     """Randomized hyperplane search + local coefficient improvement.
 
+    With more than SAMPLE points the starts and the hill-climb score on the
+    fixed stratified sample of _sample (against the target scaled to its
+    size), and each start's coefficients are scored once more on all points:
+    that call picks the threshold and ranks the starts.  The best start then
+    takes one hill-climb sweep on all points against target 0, so that each
+    step and the final threshold lower its largest side first.  With at
+    most SAMPLE points every score is on all points.
+
     Returns a float threshold theta and integer coefficients for the
     non-constant monomials (the caller snaps -theta to a rational constant).
     """
-    n_mono = vals_matrix.shape[1]
+    m, n_mono = vals_matrix.shape
+    sampled = m > SAMPLE
+    if sampled:
+        idx = _sample(labels, sizes)
+        s_labels = labels[idx]
+        search = (vals_matrix[idx], s_labels, np.bincount(s_labels, minlength=sizes.size), target * idx.size / m)
+    else:
+        search = (vals_matrix, labels, sizes, target)
     best_c: Optional[np.ndarray] = None
     best_theta = 0.0
     best_score = (float("inf"), float("inf"))
@@ -254,24 +331,9 @@ def _search_level(
         c = np.array([rng.randint(-9, 9) for _ in range(n_mono - 1)], dtype=float)
         if not c.any():
             c[rng.randrange(n_mono - 1)] = 1.0
-        vals = vals_matrix[:, 1:] @ c
-        theta, score = _best_constant(vals, labels, sizes, target)
-        for _ in range(SWEEPS):
-            improved = False
-            order = list(range(n_mono - 1))
-            rng.shuffle(order)
-            for coord in order:
-                for delta in (1.0, -1.0, 4.0, -4.0, 16.0, -16.0):
-                    trial = vals + delta * vals_matrix[:, 1 + coord]
-                    t_theta, t_score = _best_constant(trial, labels, sizes, target)
-                    if t_score < score:
-                        c[coord] += delta
-                        vals = trial
-                        theta, score = t_theta, t_score
-                        improved = True
-                        break
-            if score[0] == 0.0 or not improved:
-                break
+        theta, score = _climb(*search, c, rng, SWEEPS)
+        if sampled:
+            theta, score = _best_constant(vals_matrix[:, 1:] @ c, labels, sizes, target)
         if score < best_score:
             best_score = score
             best_c = c.copy()
@@ -279,6 +341,8 @@ def _search_level(
         if best_score[0] == 0.0 and best_score[1] == 0.0:
             break
     assert best_c is not None
+    if sampled:
+        best_theta, _ = _climb(vals_matrix, labels, sizes, 0.0, best_c, rng, 1)
     return best_theta, best_c
 
 

@@ -322,17 +322,17 @@ def through_pair_trial(rng, on_circle: bool, den: int):
     """Two points sampled on one random anchored circle, which must come back
     (two distinct points of it are never collinear with the origin), or two
     random points with |coordinates| <= 2 and denominators <= den (SKIP when
-    rejected): a circle returned through them holds both.  Returns whether
-    one was."""
+    collinear with the origin, the one input anchored_through_pair rejects):
+    a circle returned through them holds both.  Any other exception fails
+    the check.  Returns whether one was."""
     if on_circle:
         g = gens.rand_anchored_circle(rng)
         p, q = anc.anchored_point_sample(g, rng), anc.anchored_point_sample(g, rng)
     else:
         p, q = (Vec3(rand_rat(rng, 2, den), rand_rat(rng, 2, den), rand_rat(rng, 2, den)) for _ in range(2))
-    try:
-        got = anc.anchored_through_pair(p, q)
-    except ValueError:
+    if p.cross(q).is_zero():
         return SKIP
+    got = anc.anchored_through_pair(p, q)
     if on_circle and got != g:
         raise CheckFailed(f"through-pair circle {got} is not the sampled {g}: {p}, {q}")
     if got is not None and not (anc.anchored_incident(p, got) and anc.anchored_incident(q, got)):

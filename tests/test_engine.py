@@ -61,11 +61,22 @@ class TestCount:
         assert a.per_curve == b.per_curve
 
     def test_modes_agree_anchored(self):
+        # besides the planted instance, each crafted circle gets a point on
+        # its sphere but off its plane ((1, 0, 1), (3/5, 4/5, 1)), one on its
+        # plane but off its sphere ((3, 0, 0), (9/5, 12/5, 0)) and points on it
         inst, _ = gen(GenSpec("anchored-planted", 60, 40, seed=6))
-        a = count(inst.points, inst.curves, mode="exact")
-        b = count(inst.points, inst.curves, mode="prefilter")
-        assert a.total == b.total
-        assert a.per_point == b.per_point
+        circles = inst.curves + [AnchoredCircle(Vec3(1, 0, 0), Vec3(0, 0, 1)),
+                                 AnchoredCircle(Vec3(Fraction(3, 5), Fraction(4, 5), 0), Vec3(4, -3, 5))]
+        crafted = [Vec3(1, 0, 1), Vec3(3, 0, 0), Vec3(1, 1, 0), Vec3(1, -1, 0),
+                   Vec3(Fraction(3, 5), Fraction(4, 5), 1), Vec3(Fraction(9, 5), Fraction(12, 5), 0),
+                   Vec3(Fraction(6, 5), Fraction(8, 5), 0)]
+        points = inst.points + crafted
+        incident = [[g.n.dot(p) == 0 and (p - g.c).norm2() == 1 for g in circles] for p in points]
+        assert [sum(row[-2:]) for row in incident[-len(crafted):]] == [0, 0, 1, 1, 0, 0, 1]
+        for mode in ("exact", "prefilter"):
+            rep = count(points, circles, mode=mode)
+            assert rep.per_point == [sum(row) for row in incident]
+            assert rep.per_curve == [sum(col) for col in zip(*incident)]
 
     def test_modes_agree_lines(self):
         inst, planted = gen(GenSpec("st-grid-horizontal-lines", 250, 250, seed=0))

@@ -127,6 +127,72 @@ class TestBuild:
             assert sizes[:k].min() > 0 and np.array_equal(sizes[:k], np.bincount(labels, minlength=k + 1)[:k])
 
 
+def skewed_labels(seed):
+    """Shuffled labels of six classes of very different sizes (one of a
+    single point) and 50 points in the spare class, with their sizes."""
+    wanted = [1, 3, 40, 700, 1500, 1800]
+    k = len(wanted)
+    labels = np.repeat(np.arange(k + 1), wanted + [50]).astype(np.min_scalar_type(k))
+    np.random.default_rng(seed).shuffle(labels)
+    sizes = np.bincount(labels, minlength=k + 1)
+    sizes[k] = 0
+    return labels, sizes
+
+
+class TestSample:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_deterministic(self, seed):
+        labels, sizes = skewed_labels(seed)
+        first = partition._sample(labels, sizes)
+        assert np.array_equal(first, partition._sample(labels.copy(), sizes.copy()))
+        assert np.array_equal(first, np.unique(first))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_nonempty_class_in_proportion_and_no_spare(self, seed):
+        labels, sizes = skewed_labels(seed)
+        k = sizes.size - 1
+        got = np.bincount(labels[partition._sample(labels, sizes)], minlength=k + 1)
+        assert got[k] == 0 and got[:k].min() >= 1
+        share = partition.SAMPLE * sizes[:k] / sizes[:k].sum()
+        assert (np.abs(got[:k] - np.maximum(share, 1)) <= 1).all()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_size_near_sample(self, seed):
+        labels, sizes = skewed_labels(seed)
+        assert abs(partition._sample(labels, sizes).size - partition.SAMPLE) <= sizes.size - 1
+
+    def test_climb_on_sample_and_pick_threshold_on_all_points(self, monkeypatch):
+        real_constant, real_climb = partition._best_constant, partition._climb
+        climbs = []  # per climb: its rows, then the size of every later score
+
+        def constant(vals, *args):
+            climbs[-1].append(vals.size)
+            return real_constant(vals, *args)
+
+        def climb(vals_matrix, *args):
+            climbs.append([vals_matrix.shape[0]])
+            return real_climb(vals_matrix, *args)
+
+        monkeypatch.setattr(partition, "_best_constant", constant)
+        monkeypatch.setattr(partition, "_climb", climb)
+        m, n = 2 * partition.SAMPLE, partition.SAMPLE
+        build_partition(rand_points(random.Random(41), m), 1, 0.2, seed=42)
+        # every start climbs on the sample and is then scored once on all
+        # points, and the best start takes one sweep on all points
+        *starts, last = climbs
+        assert starts and all(c[0] == n and set(c[1:-1]) == {n} and c[-1] == m for c in starts)
+        assert set(last) == {m}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampled_search_meets_the_exact_bound(self, seed):
+        m, levels, eps = 2048, 3, 0.15
+        assert m > partition.SAMPLE
+        pts = rand_points(random.Random(seed), m)
+        pp = build_partition(pts, levels, eps, seed=seed)
+        assert max(pp.balances) <= eps
+        assert classify(pts, pp).max_population() <= (1 + eps) * m / 2 ** levels
+
+
 class TestClassify:
     def test_zero_set_flagged(self):
         pp = PartitionPoly([tri({(0, 0, 1): 1})], [1], [0.0], 0.1, 0)

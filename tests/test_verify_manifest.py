@@ -2,6 +2,7 @@
 dropping a check from the registry is a build failure here."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,21 @@ def test_crossing_soundness_catches_a_total_past_bezout(monkeypatch):
     monkeypatch.setattr(partition, "curve_crossings", inflated)
     with pytest.raises(CheckFailed, match="exceed Bezout bound"):
         CHECKS["partition-crossing-soundness"](random.Random(1), 0.02)
+
+
+def test_anchored_dual_uniqueness_fails_on_a_through_pair_crash(monkeypatch):
+    # a through-pair that builds its circle when |c|^2 < 1 makes the
+    # AnchoredCircle constructor raise; only collinear pairs may SKIP
+    def builds_inside(p, q):
+        n = p.cross(q)
+        if n.is_zero():
+            raise ValueError("degenerate triple")
+        c = (q.scale(p.norm2()) - p.scale(q.norm2())).cross(n).scale(Fraction(1) / (2 * n.norm2()))
+        return None if c.norm2() > 1 else anchored.AnchoredCircle(c, n)
+
+    monkeypatch.setattr(anchored, "anchored_through_pair", builds_inside)
+    with pytest.raises(ValueError, match="center must lie on the unit sphere"):
+        CHECKS["anchored-dual-uniqueness"](random.Random(1), 0.02)
 
 
 def test_uncertified_planted_pairs_fail_as_a_check(monkeypatch):
