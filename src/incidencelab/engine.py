@@ -3,11 +3,11 @@
 Both modes first clear each object's denominators once, in one pass over
 its coordinates (the kind's ``int_point`` and ``int_curve``); exact mode then
 evaluates integer residuals over all m*n pairs.  Prefilter mode screens pairs
-with float residuals in tiles and confirms every survivor with the same
+with float residuals box by box and confirms every survivor with the same
 integer predicate; the screen may only add candidates, never drop a true
 incidence.
 Totals are identical in both modes and independent of the thread count
-(tiles merge by index).
+(boxes merge in order).
 
 Each instance kind is one ``Kind`` record in the ``KINDS`` table; the integer
 clearing and exact predicate it calls are defined with the kind's types.
@@ -15,8 +15,8 @@ clearing and exact predicate it calls are defined with the kind's types.
 The screen writes every residual as a dot product, by the classical lifting
 of circles to planes: |p - c|^2 - r^2 = |p|^2 - 2 p.c + (|c|^2 - r^2) is
 linear in the lifted point (|p|^2, 1, px, py).  Each point gets one float row
-and each curve one float column per residual, so one tile of one residual is
-one matrix product:
+and each curve one float column per residual, so one box of points against
+the curves that can reach it is one matrix product per residual:
 
     tangency  circle     (|p|^2, 1, px, py) . (1, |c|^2 - r^2, -2cx, -2cy)
               direction  (u py, u, px, 1)   . (1, -cy, 1, -cx)
@@ -72,12 +72,53 @@ most 2^-1022 instead of a relative one, even if the BLAS flushes subnormals
 to zero.  Times a partner entry of at most 3M^2 and over at most four terms,
 that adds less than 2^-1010 * (M^2 + 1), which the floor tau >= 64*eps
 absorbs, because M >= 1.
+
+Boxes.  The points are sorted into boxes of at most ``tile`` points:
+equal-count strips by x, then equal-count runs by y within each strip.  A
+box is the float bounding box [lo, hi] of its points' float coordinates
+(exact, as minima and maxima).  For tangency and anchored a curve lies on a
+sphere |x - c|^2 = r^2: the circle itself in (px, py), or the unit sphere
+about the anchored centre in (px, py, pz).  A box is screened only against
+the spheres it can reach, those with
+
+    near = sum over axes of max(lo - c, c - hi, 0)^2 <= r2 + sigma
+    far  = sum over axes of max(c - lo, hi - c)^2    >= r2 - sigma
+
+with sigma = tau of the first residual; each strip's bounding box is tested
+the same way first, and its boxes test only the spheres it kept.  lines3
+screens every box against every line: a bounding-ball cull kept 83-93 % of
+the st-grid pairs.
+
+The cull keeps every incidence.  Let P, C and R^2 be exact and p = fl(P),
+c = fl(C), r2 = fl(R^2) the floats (r2 is 1 for anchored), so |p_i - P_i| <=
+u|P_i|, the same for c, and |p_i|, |c_i| <= M, R^2 <= M(1 + u) (tangency:
+M bounds r^2) or R^2 = 1 (anchored).  With a = P - C and b = p - c,
+|b_i - a_i| <= 2uM(1 + u) and |b_i + a_i| <= 4M(1 + u)^2, so on d axes
+(2 for tangency, 3 for anchored) | |b|^2 - |a|^2 | < 4.01*d*eps*M^2.  The box
+holds p, so the exact near and far of the float box bracket |b|^2.  Computed
+near and far are sums of at most three squares of one correctly rounded
+difference each (a subnormal difference is exact; max and min are exact,
+and rounding is monotone, so min(fl(x), fl(y)) = fl(min(x, y))): a relative
+error of at most gamma_4 < 2.01*eps on non-negative terms, plus at most
+2^-1022 per square that falls below the normal range, even if subnormals
+are flushed to zero.  The comparisons round r2 +- sigma once more (u).  At
+an incidence |a|^2 = R^2, so the test keeps the pair when
+
+    sigma > (gamma_4 + 2u) R^2 + 4.01*d*eps*M^2 (1 + gamma_4) + 2^-1020,
+
+which is below 8.1*eps*M^2 + 3.1*eps*M + 2^-1020 (tangency) and 12.1*eps*M^2
++ 3.1*eps + 2^-1020 (anchored), each under 64*eps*(M^2 + M + 1) and
+64*eps*(M^2 + 1), the first tau.  The 2^-1020 from underflow (coordinates
+near 10^-200) is far below the floor sigma >= 64*eps.  Counting every
+rounding as a full eps doubles the bound, still under tau.  For M <=
+SCREEN_MAX every square is at most (2M)^2 <= 2^1002 and their sum below
+2^1004, so near, far and r2 +- sigma stay finite.  A strip contains each of
+its boxes, so its test never drops what a box test would keep.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -105,6 +146,8 @@ class IncidenceReport:
     kind: str
     seconds: float
     tau: Optional[Tuple[float, ...]] = None
+    screened: Optional[int] = None  # pairs whose residuals were computed
+    candidates: Optional[int] = None  # pairs sent to the exact confirm
 
     def to_json(self, histograms: bool = False) -> dict:
         out = {
@@ -113,7 +156,10 @@ class IncidenceReport:
             "total": self.total,
             "mode": self.mode,
             "kind": self.kind,
-            "tau": None if self.tau is None else list(self.tau),  # None: exact mode or the all-pairs fallback
+            # tau, screened, candidates: None in exact mode or the all-pairs fallback
+            "tau": None if self.tau is None else list(self.tau),
+            "screened": self.screened,
+            "candidates": self.candidates,
             "seconds": self.seconds,
         }
         if histograms:
@@ -139,12 +185,19 @@ class Kind:
     int_point: Callable[[Any], tuple]  # object -> integer-cleared tuple
     int_curve: Callable[[Any], tuple]
     pair: Callable[[tuple, tuple], bool]  # exact predicate on cleared tuples
-    float_curve: Callable[[tuple], tuple]  # the curve's part of M: center or point, then r2 or direction
+    # the curve's part of M, and the shell's input: center or point, then r2 or direction
+    float_curve: Callable[[tuple], tuple]
     # cleared tuple -> one float row (point) or column (curve) per residual;
     # a residual is the dot product of the two, and vanishes on incidences
     lift_point: Callable[[tuple], Tuple[tuple, ...]]
     lift_curve: Callable[[tuple], Tuple[tuple, ...]]
     tolerance: Callable[[float], Tuple[float, ...]]  # M -> tau per residual
+    # (residual, column) of each float point coordinate (and u) in the lifted
+    # rows, x and y first: the point's part of M, and what boxes are cut by
+    coords: Tuple[Tuple[int, int], ...]
+    # float_curve rows (n x k) -> sphere centres (d x n) and r^2, for the box
+    # cull on the first d coordinates; None screens every box against every curve
+    shell: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]]
 
 
 def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d): point coordinates (and u)
@@ -191,13 +244,16 @@ def _lift_line3(C) -> tuple:
 KINDS: Tuple[Kind, ...] = (
     Kind("tangency", DirectedPoint, Circle2, int_dp, int_circle, pair_tangency,
          lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _lift_dp, _lift_circle,
-         lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2),
+         lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2,
+         ((0, 2), (0, 3), (1, 1)), lambda g: (g[:, :2].T, g[:, 2])),
     Kind("anchored", Vec3, AnchoredCircle, int_vec3, int_anchored, pair_anchored,
          lambda C: _float3(C[3:]), _lift_point3_anchored, _lift_anchored,
-         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2),
+         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2,
+         ((1, 0), (1, 1), (1, 2)), lambda g: (g.T, np.ones(len(g)))),
     Kind("lines3", Vec3, Line3, int_vec3, int_line3, pair_lines3,
          lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _lift_point3_lines, _lift_line3,
-         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3),
+         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3,
+         ((0, 0), (0, 1), (0, 2)), None),
 )
 
 
@@ -211,59 +267,108 @@ def _kind_of(points: Sequence, curves: Sequence) -> Kind:
     raise ValueError(f"no instance kind counts {pt_type.__name__} points on {cv_type.__name__} curves")
 
 
+def _meets(lo, hi, shell):
+    """Mask of the spheres that the box [lo, hi] can reach.  ``shell`` holds
+    one column per sphere: its centre c (d rows), then r2 - sigma and r2 +
+    sigma.  A sphere is kept when min |x - c|^2 <= r2 + sigma and
+    max |x - c|^2 >= r2 - sigma over the box (see the module notes)."""
+    d = len(shell) - 2
+    below, above = lo[:d, None] - shell[:d], shell[:d] - hi[:d, None]  # at most one is positive
+    far = np.minimum(below, above)  # -max(c - lo, hi - c)
+    near = np.maximum(below, above, out=below)
+    np.maximum(near, 0.0, out=near)
+    near *= near
+    far *= far
+    return (near.sum(axis=0) <= shell[-1]) & (far.sum(axis=0) >= shell[-2])
+
+
+def _boxes(x, y, size: int):
+    """Point order, box starts and strips: equal-count strips by x, each cut
+    into equal-count runs (boxes) of at most ``size`` points by y.  Strip s
+    holds boxes strips[s] to strips[s + 1] - 1."""
+    nbox = -(-len(x) // size)
+    order, starts, strips = [], [0], [0]
+    for strip in np.array_split(np.argsort(x, kind="stable"), math.isqrt(nbox - 1) + 1):
+        strip = strip[np.argsort(y[strip], kind="stable")]
+        for run in np.array_split(strip, -(-len(strip) // size)):
+            order.append(run)
+            starts.append(starts[-1] + len(run))
+        strips.append(len(starts) - 1)
+    return np.concatenate(order), starts, strips
+
+
 def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
-    """Candidate (i, j) index arrays per tile, in tile order, and tau; None
-    when the float rows cannot certify a screen (see the module notes)."""
+    """Candidate (i, j) index arrays per box, in box order, tau and the number
+    of pairs screened; None when the float rows cannot certify a screen (see
+    the module notes)."""
     try:
-        mag = max(1.0, max(abs(x) for p in ipts for x in _float3(p)),
-                  max(abs(x) for c in icvs for x in kind.float_curve(c)))
+        shapes = np.array([kind.float_curve(c) for c in icvs])
+        lifted_pts = [kind.lift_point(p) for p in ipts]
+        lifted_cvs = [kind.lift_curve(c) for c in icvs]
     except OverflowError:
         return None
+    rows = [np.array([lp[k] for lp in lifted_pts]) for k in range(len(lifted_pts[0]))]
+    coords = np.stack([rows[k][:, a] for k, a in kind.coords], axis=1)
+    mag = max(1.0, float(np.abs(coords).max()), float(np.abs(shapes).max()))
     if mag > SCREEN_MAX:
         return None
     tau = kind.tolerance(mag)
-    lifted_pts = [kind.lift_point(p) for p in ipts]
-    lifted_cvs = [kind.lift_curve(c) for c in icvs]
-    # per residual: point rows (m x w), curve columns (w x n), tau
-    factors = [(np.array([lp[k] for lp in lifted_pts]), np.array([lc[k] for lc in lifted_cvs]).T, t)
-               for k, t in enumerate(tau)]
-    m, n = len(ipts), len(icvs)
-    cap = min(tile, m) * min(tile, n)
-    buffers = threading.local()  # residual, mask and hit tiles, one set per worker thread
-    empty = np.empty(0, dtype=np.intp)
+    order, starts, strips = _boxes(coords[:, 0], coords[:, 1], tile)
+    coords = coords[order]
+    lo, hi = (f.reduceat(coords, starts[:-1], axis=0) for f in (np.minimum, np.maximum))
+    # per residual: point rows in box order (m x w), curve rows (n x w), tau
+    factors = [(r[order], np.array([lc[k] for lc in lifted_cvs]), t) for k, (r, t) in enumerate(zip(rows, tau))]
+    shell = None
+    if kind.shell is not None:
+        centres, r2 = kind.shell(shapes)
+        shell = np.vstack([centres, r2 - tau[0], r2 + tau[0]])
 
-    def work(span):
-        i0, i1, j0, j1 = span
-        if not hasattr(buffers, "tiles"):
-            buffers.tiles = (np.empty(cap), np.empty(cap, dtype=bool), np.empty(cap, dtype=bool))
-        res, mask, hit = (buf[:(i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0) for buf in buffers.tiles)
-        for k, (rows, cols, t) in enumerate(factors):
-            np.matmul(rows[i0:i1], cols[:, j0:j1], out=res)
-            np.abs(res, out=res)
-            if k == 0:
-                np.less_equal(res, t, out=mask)
+    def work(s):
+        """Candidate chunks and pairs screened in the boxes of strip s, each
+        box against the curves that reach the strip and then the box."""
+        b0, b1 = strips[s], strips[s + 1]
+        if shell is None:
+            near = np.arange(len(icvs))
+        else:
+            near = np.flatnonzero(_meets(lo[b0:b1].min(axis=0), hi[b0:b1].max(axis=0), shell))
+            sub = shell.take(near, axis=1)
+        cap = max(starts[b + 1] - starts[b] for b in range(b0, b1)) * len(near)
+        res, mask, hit = np.empty(cap), np.empty(cap, dtype=bool), np.empty(cap, dtype=bool)
+        chunks, screened = [], 0
+        for b in range(b0, b1):
+            i0, i1 = starts[b], starts[b + 1]
+            keep = near if shell is None else near[_meets(lo[b], hi[b], sub)]
+            screened += (i1 - i0) * len(keep)
+            r, msk, h = (buf[:(i1 - i0) * len(keep)].reshape(i1 - i0, len(keep)) for buf in (res, mask, hit))
+            for f, (pts, cvs, t) in enumerate(factors):
+                np.matmul(pts[i0:i1], (cvs if shell is None else cvs.take(keep, axis=0)).T, out=r)
+                np.abs(r, out=r)
+                np.less_equal(r, t, out=msk if f == 0 else h)
+                if f:
+                    msk &= h
+                if not msk.any():  # an empty box skips its remaining products and the index scan
+                    break
             else:
-                np.less_equal(res, t, out=hit)
-                mask &= hit
-            if not mask.any():  # an empty tile skips its remaining products and the index scan
-                return empty, empty
-        ii, jj = np.divmod(np.flatnonzero(mask), j1 - j0)
-        return ii + i0, jj + j0
+                ii, jj = np.divmod(np.flatnonzero(msk), len(keep))
+                chunks.append((order[ii + i0], keep[jj]))
+        return chunks, screened
 
-    tiles = [(i0, min(i0 + tile, m), j0, min(j0 + tile, n))
-             for i0 in range(0, m, tile) for j0 in range(0, n, tile)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, tiles)), tau
-    return [work(span) for span in tiles], tau
+            done = list(pool.map(work, range(len(strips) - 1)))
+    else:
+        done = [work(s) for s in range(len(strips) - 1)]
+    return [chunk for chunks, _ in done for chunk in chunks], tau, sum(n for _, n in done)
 
 
 def count(points: Sequence, curves: Sequence, mode: str = "exact",
-          threads: int = 1, tile: int = 1024) -> IncidenceReport:
+          threads: int = 1, tile: int = 64) -> IncidenceReport:
     """Exact incidence count between homogeneous points and curves.
 
     mode "exact" evaluates the integer predicate on every pair; "prefilter"
-    screens with float residuals first and confirms survivors exactly.
+    screens with float residuals first and confirms survivors exactly.  The
+    screen cuts the points into boxes of at most ``tile`` points and runs
+    its strips of boxes on ``threads`` threads.
     """
     if mode not in ("exact", "prefilter"):
         raise ValueError(f"unknown mode {mode}")
@@ -277,10 +382,11 @@ def count(points: Sequence, curves: Sequence, mode: str = "exact",
     pair = kind.pair
     ipts = [kind.int_point(p) for p in points]
     icvs = [kind.int_curve(c) for c in curves]
-    screened = _screen(kind, ipts, icvs, threads, tile) if mode == "prefilter" else None
+    screen = _screen(kind, ipts, icvs, threads, tile) if mode == "prefilter" else None
     tau: Optional[Tuple[float, ...]] = None
+    screened = candidates = None
 
-    if screened is None:
+    if screen is None:
         for i, pf in enumerate(ipts):
             row = 0
             for j, cf in enumerate(icvs):
@@ -289,15 +395,17 @@ def count(points: Sequence, curves: Sequence, mode: str = "exact",
                     per_curve[j] += 1
             per_point[i] = row
     else:
-        chunks, tau = screened
-        for ii, jj in chunks:  # tile order is deterministic
+        chunks, tau, screened = screen
+        candidates = 0
+        for ii, jj in chunks:  # box order is deterministic
+            candidates += len(ii)
             for i, j in zip(ii.tolist(), jj.tolist()):
                 if pair(ipts[i], icvs[j]):
                     per_point[i] += 1
                     per_curve[j] += 1
 
     return IncidenceReport(m, n, sum(per_point), per_point, per_curve, mode, kind.name,
-                           time.perf_counter() - start, tau)
+                           time.perf_counter() - start, tau, screened, candidates)
 
 
 def t_rich_points(points: Sequence, curves: Sequence, t: int,

@@ -319,6 +319,12 @@ class TestGenerateAndCount:
         assert len(screened) == 2 and all(0 < t < 1e-10 for t in screened)
         assert exact is None
 
+    def test_count_json_carries_screen_counts(self):
+        argv = ["count", "--kind", "circle-sampled", "--m", "50", "--n", "10", "--seed", "4", "--mode"]
+        screened, exact = (json.loads(run(argv + [mode])[1]) for mode in ("prefilter", "exact"))
+        assert screened["total"] <= screened["candidates"] <= screened["screened"] <= 50 * 10
+        assert exact["screened"] is None and exact["candidates"] is None
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path):

@@ -12,7 +12,6 @@ from incidencelab.engine import (
     CSV_HEADER,
     KINDS,
     IncidenceReport,
-    _screen,
     bound_ratio,
     count,
     exponent_fit,
@@ -250,7 +249,7 @@ def test_prefilter_matches_exact_at_huge_magnitude(kind, exponent):
     assert exact.total == 1
     assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
         (exact.kind, exact.total, exact.per_point, exact.per_curve)
-    assert pre.tau is None
+    assert pre.tau is None and pre.screened is None and pre.candidates is None
     assert pre.to_json()["tau"] is None  # the fallback shows in the report
 
 
@@ -344,14 +343,51 @@ def instance(pieces):
 
 
 def assert_screens_exactly(points, curves):
-    """The prefilter report at threads 1 and 3, checked equal to exact mode."""
+    """The prefilter report at threads 1 and 3 and boxes of 1, 2 and 7
+    points, checked equal to exact mode."""
     exact = count(points, curves, mode="exact")
     for threads in (1, 3):
-        pre = count(points, curves, mode="prefilter", threads=threads, tile=7)
-        assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
-            (exact.kind, exact.total, exact.per_point, exact.per_curve)
-        assert pre.tau is not None  # the float screen ran; no fallback to all pairs
+        for tile in (1, 2, 7):
+            pre = count(points, curves, mode="prefilter", threads=threads, tile=tile)
+            assert (pre.kind, pre.total, pre.per_point, pre.per_curve) == \
+                (exact.kind, exact.total, exact.per_point, exact.per_curve)
+            assert pre.tau is not None  # the float screen ran; no fallback to all pairs
+            assert pre.total <= pre.candidates <= pre.screened <= len(points) * len(curves)
     return pre
+
+
+def on_ray(centre, target, scales):
+    """Points centre + s (target - centre): their bounding box has target as
+    its far corner from the centre when every s < 1, its near one when s > 1."""
+    return [centre + (target - centre).scale(s) for s in scales]
+
+
+inside = st.lists(st.fractions(Fraction(1, 8), Fraction(7, 8), max_denominator=9), min_size=1, max_size=5)
+outside = st.lists(st.fractions(Fraction(9, 8), 3, max_denominator=9), min_size=1, max_size=5)
+
+
+@st.composite
+def tangency_shell_piece(draw):
+    """An exact tangency at the far (or near) corner of the box of points
+    on its ray: the rest of the box lies strictly inside (or outside)."""
+    s = draw(st.sampled_from(SCALES))
+    center = Vec2(draw(small) * s, draw(small) * s)
+    r = draw(st.fractions(Fraction(1, 4), 40, max_denominator=12)) * s
+    circle = Circle2(center, r * r)
+    dp = tangent_at(circle, rotate_on_circle(circle, center + Vec2(r, 0), draw(nonzero)))
+    rest = on_ray(center, dp.p, draw(st.one_of(inside, outside)))
+    return [dp] + [DirectedPoint(p, dp.u) for p in rest], [circle]
+
+
+@st.composite
+def anchored_shell_piece(draw):
+    """The same on an anchored circle: its point is the far (or near)
+    corner of the box of points on the ray from the centre."""
+    c = sphere_point(draw(small), draw(small))
+    e1, e2 = tangent_basis(c)
+    circle = AnchoredCircle(c, e1.scale(draw(nonzero)) + e2.scale(draw(small)))
+    p = anchored_point(circle, draw(nonzero))
+    return [p] + on_ray(c, p, draw(st.one_of(inside, outside))), [circle]
 
 
 @PROPERTY
@@ -370,6 +406,43 @@ def test_anchored_screen_is_exact(pieces):
 @given(st.lists(line_piece(), min_size=1, max_size=4))
 def test_lines3_screen_is_exact(pieces):
     assert_screens_exactly(*instance(pieces))
+
+
+@PROPERTY
+@given(st.lists(tangency_shell_piece(), min_size=1, max_size=3))
+def test_tangency_cull_keeps_box_corners(pieces):
+    points, curves = instance(pieces)
+    assert assert_screens_exactly(points, curves).total >= len(pieces)
+
+
+@PROPERTY
+@given(st.lists(anchored_shell_piece(), min_size=1, max_size=3))
+def test_anchored_cull_keeps_box_corners(pieces):
+    points, curves = instance(pieces)
+    assert assert_screens_exactly(points, curves).total >= len(pieces)
+
+
+def test_cull_screens_only_reachable_circles():
+    # one box of seven points on the ray to (3, 4), on circle 0 or inside
+    # it; circle 1 holds the whole box, circle 2 lies far from it, and only
+    # circle 0 reaches it, so exactly its 7 pairs are screened
+    circle = Circle2(Vec2(0, 0), 25)
+    dp = tangent_at(circle, Vec2(3, 4))
+    rest = on_ray(Vec2(0, 0), dp.p, [1 - Fraction(k, 40) for k in range(1, 7)])
+    points = [dp] + [DirectedPoint(p, dp.u) for p in rest]
+    curves = [circle, Circle2(Vec2(0, 0), 100), Circle2(Vec2(50, 0), 1)]
+    pre = assert_screens_exactly(points, curves)
+    assert pre.per_curve == [1, 0, 0]
+    assert (pre.screened, pre.candidates) == (7, 1)
+
+
+def test_cull_prunes_random_tangency():
+    # random circles meet few boxes: a cull that passed every curve would
+    # screen all m*n pairs
+    inst, _ = gen(GenSpec("random-tangency", 2000, 2000, seed=22))
+    rep = count(inst.points, inst.curves, mode="prefilter")
+    assert rep.total == rep.candidates == 0
+    assert 0 < rep.screened <= 0.3 * rep.m * rep.n
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -401,11 +474,8 @@ def test_anchored_screen_takes_a_huge_normal():
 def test_anchored_screen_decides(kind, total):
     # with M set by the points alone, the screen passes no pair that confirm drops
     inst, _ = gen(GenSpec(kind, 300, 60, seed=3))
-    anchored = KIND["anchored"]
-    ipts = [anchored.int_point(p) for p in inst.points]
-    icvs = [anchored.int_curve(c) for c in inst.curves]
-    chunks, _ = _screen(anchored, ipts, icvs, 1, 1024)
-    assert sum(len(ii) for ii, _ in chunks) == count(inst.points, inst.curves).total == total
+    rep = count(inst.points, inst.curves, mode="prefilter")
+    assert rep.candidates == rep.total == total
 
 
 # ---------------------------------------------------------------------------
