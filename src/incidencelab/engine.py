@@ -14,14 +14,16 @@ clearing and exact predicate it calls are defined with the kind's types.
 
 The screen writes every residual as a dot product, by the classical lifting
 of circles to planes: |p - c|^2 - r^2 = |p|^2 - 2 p.c + (|c|^2 - r^2) is
-linear in the lifted point (|p|^2, 1, px, py).  Each point gets one float row
-and each curve one float column per residual, so one box of points against
-the curves that can reach it is one matrix product per residual:
+linear in the lifted point (px, py, |p|^2, 1).  Each point gets one float
+row, its float coordinates (and u) first, and each curve one float column per
+residual, as wide as the row, with a zero where its residual does not read an
+entry; so one box of points against the curves that can reach it is one
+matrix product per residual:
 
-    tangency  circle     (|p|^2, 1, px, py) . (1, |c|^2 - r^2, -2cx, -2cy)
-              direction  (u py, u, px, 1)   . (1, -cy, 1, -cx)
-    anchored  sphere     (|p|^2, px, py, pz) . (1, -2cx, -2cy, -2cz)
-              plane      (px, py, pz) . (nx, ny, nz) / 2^s
+    tangency  circle     (px, py, u, |p|^2, u py, 1) . (-2cx, -2cy, 0, 1, 0, |c|^2 - r^2)
+              direction  (px, py, u, |p|^2, u py, 1) . (1, 0, -cy, 0, 1, -cx)
+    anchored  sphere     (px, py, pz, |p|^2) . (-2cx, -2cy, -2cz, 1)
+              plane      (px, py, pz, |p|^2) . (nx, ny, nz, 0) / 2^s
     lines3    p x v - q x v, one column per component of the cross product
               against (px, py, pz, 1); z first, because on a horizontal line
               the x and y components vanish on a whole plane of points
@@ -33,10 +35,11 @@ entry is below 1 in magnitude; the residual has the same zeros, and on dyadic
 inputs the floats stay exact.
 
 Tolerance.  M >= 1 is the largest magnitude among the float point coordinates
-(and u) and the curve's centre or base point, r^2 or direction.  It leaves
-out the anchored normal, whose scaled entries are below 1, so the anchored M
-is set by the points alone (|c| = 1).  tau is 64*eps*(M^2 + M + 1) for
-tangency and 64*eps*(M^2 + 1) otherwise, per residual (eps = FLOAT_EPS).
+(and u) and the curve's centre or base point, r^2 (1 for anchored, which
+cannot move M) or direction.  It leaves out the anchored normal, whose scaled
+entries are below 1, so the anchored M is set by the points alone (|c| = 1).
+tau is 64*eps*(M^2 + M + 1) for tangency and 64*eps*(M^2 + 1) otherwise, per
+residual (eps = FLOAT_EPS).
 Every lifted entry is one int / int (or int to float) of the cleared
 integers, correctly rounded, so its relative error is at most u = eps/2.
 A k-term dot product of such entries, summed in any order
@@ -44,8 +47,10 @@ and with or without FMA, is within gamma_(k+2) * S of the exact residual,
 where S is the sum of the exact terms' magnitudes and gamma_j = j*u / (1 -
 j*u) < 3.0001*eps for j <= 6: one rounding per product and per addition
 along any path of the summation tree, plus one per lifted entry (Higham,
-Accuracy and Stability of Numerical Algorithms, section 3.1).  With every
-coordinate at most M(1 + u):
+Accuracy and Stability of Numerical Algorithms, section 3.1).  A zero entry
+gives an exact zero product and an exact addition, so k counts only the
+nonzero terms and every gamma and tau bound stands.  With every coordinate at
+most M(1 + u):
 
     tangency  circle     S <= 2M^2 + (2M^2 + M) + 4M^2 = 8M^2 + M
               direction  S <= M^2 + M^2 + M + M = 2M^2 + 2M
@@ -75,11 +80,12 @@ absorbs, because M >= 1.
 
 Boxes.  The points are sorted into boxes of at most ``tile`` points:
 equal-count strips by x, then equal-count runs by y within each strip.  A
-box is the float bounding box [lo, hi] of its points' float coordinates
-(exact, as minima and maxima).  For tangency and anchored a curve lies on a
-sphere |x - c|^2 = r^2: the circle itself in (px, py), or the unit sphere
-about the anchored centre in (px, py, pz).  A box is screened only against
-the spheres it can reach, those with
+box is the float bounding box [lo, hi] of its points' float coordinates, the
+first three entries of their rows (exact, as minima and maxima).  For
+tangency and anchored a curve lies on a sphere |x - c|^2 = r^2 in the first d
+coordinates (``Kind.sphere``): the circle itself in (px, py), or the unit
+sphere about the anchored centre in (px, py, pz).  A box is screened only
+against the spheres it can reach, those with
 
     near = sum over axes of max(lo - c, c - hi, 0)^2 <= r2 + sigma
     far  = sum over axes of max(c - lo, hi - c)^2    >= r2 - sigma
@@ -185,53 +191,47 @@ class Kind:
     int_point: Callable[[Any], tuple]  # object -> integer-cleared tuple
     int_curve: Callable[[Any], tuple]
     pair: Callable[[tuple, tuple], bool]  # exact predicate on cleared tuples
-    # the curve's part of M, and the shell's input: center or point, then r2 or direction
+    # the curve's part of M: its centre or base point, then r^2 or direction
     float_curve: Callable[[tuple], tuple]
-    # cleared tuple -> one float row (point) or column (curve) per residual;
-    # a residual is the dot product of the two, and vanishes on incidences
-    lift_point: Callable[[tuple], Tuple[tuple, ...]]
+    # cleared point -> one float row, its float coordinates (and u) first: the
+    # point's part of M, and what boxes are cut by; cleared curve -> one column
+    # per residual, as wide as the row; a residual is their dot product, and
+    # vanishes on incidences
+    lift_point: Callable[[tuple], tuple]
     lift_curve: Callable[[tuple], Tuple[tuple, ...]]
     tolerance: Callable[[float], Tuple[float, ...]]  # M -> tau per residual
-    # (residual, column) of each float point coordinate (and u) in the lifted
-    # rows, x and y first: the point's part of M, and what boxes are cut by
-    coords: Tuple[Tuple[int, int], ...]
-    # float_curve rows (n x k) -> sphere centres (d x n) and r^2, for the box
-    # cull on the first d coordinates; None screens every box against every curve
-    shell: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]]
-
-
-def _float3(t: tuple) -> tuple:  # (a, b, c, d) -> (a/d, b/d, c/d): point coordinates (and u)
-    return (t[0] / t[3], t[1] / t[3], t[2] / t[3])
+    # d: the box cull takes each curve's sphere from float_curve, its centre in
+    # the first d entries and r^2 next; 0 screens every box against every curve
+    sphere: int
 
 
 def _lift_dp(P) -> tuple:
     ax, ay, au, d = P
     dd = d * d
-    px, py, u = _float3(P)
-    return ((ax * ax + ay * ay) / dd, 1.0, px, py), (au * ay / dd, u, px, 1.0)
+    return (ax / d, ay / d, au / d, (ax * ax + ay * ay) / dd, au * ay / dd, 1.0)
 
 
 def _lift_circle(C) -> tuple:
     bx, by, e, rn, rd = C
     ee = e * e
-    return ((1.0, ((bx * bx + by * by) * rd - rn * ee) / (ee * rd), -2 * bx / e, -2 * by / e),
-            (1.0, -by / e, 1.0, -bx / e))
+    return ((-2 * bx / e, -2 * by / e, 0.0, 1.0, 0.0, ((bx * bx + by * by) * rd - rn * ee) / (ee * rd)),
+            (1.0, 0.0, -by / e, 0.0, 1.0, -bx / e))
 
 
 def _lift_point3_anchored(P) -> tuple:
     ax, ay, az, d = P
-    p = _float3(P)
-    return ((ax * ax + ay * ay + az * az) / (d * d),) + p, p
+    return (ax / d, ay / d, az / d, (ax * ax + ay * ay + az * az) / (d * d))
 
 
 def _lift_anchored(C) -> tuple:
     nx, ny, nz, cx, cy, cz, e = C
     k = 1 << max(abs(nx), abs(ny), abs(nz)).bit_length()  # |n_i| / k < 1
-    return (1.0, -2 * cx / e, -2 * cy / e, -2 * cz / e), (nx / k, ny / k, nz / k)
+    return (-2 * cx / e, -2 * cy / e, -2 * cz / e, 1.0), (nx / k, ny / k, nz / k, 0.0)
 
 
 def _lift_point3_lines(P) -> tuple:
-    return (_float3(P) + (1.0,),) * 3
+    ax, ay, az, d = P
+    return (ax / d, ay / d, az / d, 1.0)
 
 
 def _lift_line3(C) -> tuple:
@@ -244,16 +244,14 @@ def _lift_line3(C) -> tuple:
 KINDS: Tuple[Kind, ...] = (
     Kind("tangency", DirectedPoint, Circle2, int_dp, int_circle, pair_tangency,
          lambda C: (C[0] / C[2], C[1] / C[2], C[3] / C[4]), _lift_dp, _lift_circle,
-         lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2,
-         ((0, 2), (0, 3), (1, 1)), lambda g: (g[:, :2].T, g[:, 2])),
+         lambda m: (64 * FLOAT_EPS * (m * m + m + 1),) * 2, 2),
     Kind("anchored", Vec3, AnchoredCircle, int_vec3, int_anchored, pair_anchored,
-         lambda C: _float3(C[3:]), _lift_point3_anchored, _lift_anchored,
-         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2,
-         ((1, 0), (1, 1), (1, 2)), lambda g: (g.T, np.ones(len(g)))),
+         lambda C: (C[3] / C[6], C[4] / C[6], C[5] / C[6], 1.0), _lift_point3_anchored, _lift_anchored,
+         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 2, 3),
     Kind("lines3", Vec3, Line3, int_vec3, int_line3, pair_lines3,
-         lambda C: _float3(C[:4]) + tuple(map(float, C[4:])), _lift_point3_lines, _lift_line3,
-         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3,
-         ((0, 0), (0, 1), (0, 2)), None),
+         lambda C: (C[0] / C[3], C[1] / C[3], C[2] / C[3]) + tuple(map(float, C[4:])),
+         _lift_point3_lines, _lift_line3,
+         lambda m: (64 * FLOAT_EPS * (m * m + 1),) * 3, 0),
 )
 
 
@@ -303,25 +301,23 @@ def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
     the module notes)."""
     try:
         shapes = np.array([kind.float_curve(c) for c in icvs])
-        lifted_pts = [kind.lift_point(p) for p in ipts]
+        pts = np.array([kind.lift_point(p) for p in ipts])
         lifted_cvs = [kind.lift_curve(c) for c in icvs]
     except OverflowError:
         return None
-    rows = [np.array([lp[k] for lp in lifted_pts]) for k in range(len(lifted_pts[0]))]
-    coords = np.stack([rows[k][:, a] for k, a in kind.coords], axis=1)
-    mag = max(1.0, float(np.abs(coords).max()), float(np.abs(shapes).max()))
+    mag = max(1.0, float(np.abs(pts[:, :3]).max()), float(np.abs(shapes).max()))
     if mag > SCREEN_MAX:
         return None
     tau = kind.tolerance(mag)
-    order, starts, strips = _boxes(coords[:, 0], coords[:, 1], tile)
-    coords = coords[order]
-    lo, hi = (f.reduceat(coords, starts[:-1], axis=0) for f in (np.minimum, np.maximum))
-    # per residual: point rows in box order (m x w), curve rows (n x w), tau
-    factors = [(r[order], np.array([lc[k] for lc in lifted_cvs]), t) for k, (r, t) in enumerate(zip(rows, tau))]
+    order, starts, strips = _boxes(pts[:, 0], pts[:, 1], tile)
+    pts = pts[order]  # point rows (m x w) in box order
+    lo, hi = (f.reduceat(pts[:, :3], starts[:-1], axis=0) for f in (np.minimum, np.maximum))
+    # per residual: curve columns (n x w), tau
+    factors = [(np.array([lc[k] for lc in lifted_cvs]), t) for k, t in enumerate(tau)]
     shell = None
-    if kind.shell is not None:
-        centres, r2 = kind.shell(shapes)
-        shell = np.vstack([centres, r2 - tau[0], r2 + tau[0]])
+    if kind.sphere:
+        r2 = shapes[:, kind.sphere]
+        shell = np.vstack([shapes[:, :kind.sphere].T, r2 - tau[0], r2 + tau[0]])
 
     def work(s):
         """Candidate chunks and pairs screened in the boxes of strip s, each
@@ -340,7 +336,7 @@ def _screen(kind: Kind, ipts: list, icvs: list, threads: int, tile: int):
             keep = near if shell is None else near[_meets(lo[b], hi[b], sub)]
             screened += (i1 - i0) * len(keep)
             r, msk, h = (buf[:(i1 - i0) * len(keep)].reshape(i1 - i0, len(keep)) for buf in (res, mask, hit))
-            for f, (pts, cvs, t) in enumerate(factors):
+            for f, (cvs, t) in enumerate(factors):
                 np.matmul(pts[i0:i1], (cvs if shell is None else cvs.take(keep, axis=0)).T, out=r)
                 np.abs(r, out=r)
                 np.less_equal(r, t, out=msk if f == 0 else h)

@@ -548,25 +548,51 @@ def _rich_planes_completeness(rng, scale) -> str:
 # --- incidence-engine -------------------------------------------------------
 
 
+def anchored_edges():
+    """Points and two anchored circles: each circle gets a point on its
+    sphere but off its plane ((1, 0, 1), (3/5, 4/5, 1)), one on its plane but
+    off its sphere ((3, 0, 0), (9/5, 12/5, 0)) and points on it."""
+    circles = [anc.AnchoredCircle(Vec3(1, 0, 0), Vec3(0, 0, 1)),
+               anc.AnchoredCircle(Vec3(Fraction(3, 5), Fraction(4, 5), 0), Vec3(4, -3, 5))]
+    points = [Vec3(1, 0, 1), Vec3(3, 0, 0), Vec3(1, 1, 0), Vec3(1, -1, 0),
+              Vec3(Fraction(3, 5), Fraction(4, 5), 1), Vec3(Fraction(9, 5), Fraction(12, 5), 0),
+              Vec3(Fraction(6, 5), Fraction(8, 5), 0)]
+    return points, circles
+
+
 @check("engine-mode-equivalence")
 def _engine_modes(rng, scale) -> str:
+    """Exact and prefilter reports agree on every kind.  The anchored input
+    adds ``anchored_edges``, and every st-grid line has grid points at its
+    height beside it: an exact kernel that skips one of its tests counts
+    these, while the float screen still drops them."""
     size = max(60, int(2000 * scale))
-    inst, _ = gens.gen(gens.GenSpec("circle-sampled", size, max(10, size // 4), seed=rng.randrange(1 << 30)))
-    a = eng.count(inst.points, inst.curves, mode="exact")
-    b = eng.count(inst.points, inst.curves, mode="prefilter")
-    if (a.total, a.per_point, a.per_curve) != (b.total, b.per_point, b.per_curve):
-        raise CheckFailed("exact and prefilter disagree")
-    return f"modes agree at m={size} (total {a.total})"
+    tangency, _ = gens.gen(gens.GenSpec("circle-sampled", size, max(10, size // 4), seed=rng.randrange(1 << 30)))
+    anchored, _ = gens.gen(gens.GenSpec("anchored-planted", max(60, int(1500 * scale)), max(20, int(300 * scale)),
+                                        seed=rng.randrange(1 << 30)))
+    side = max(54, int(432 * scale))
+    grid, _ = gens.gen(gens.GenSpec("st-grid-horizontal-lines", side, side))
+    crafted, circles = anchored_edges()
+    agreed = []
+    for name, points, curves in (("tangency", tangency.points, tangency.curves),
+                                 ("anchored", anchored.points + crafted, anchored.curves + circles),
+                                 ("lines3", grid.points, grid.curves)):
+        a = eng.count(points, curves, mode="exact")
+        b = eng.count(points, curves, mode="prefilter")
+        if (a.total, a.per_point, a.per_curve) != (b.total, b.per_point, b.per_curve):
+            raise CheckFailed(f"exact and prefilter disagree on {name}")
+        agreed.append(f"{name} m={len(points)} (total {a.total})")
+    return "modes agree on " + ", ".join(agreed)
 
 
 @check("engine-determinism")
 def _engine_determinism(rng, scale) -> str:
     inst, _ = gens.gen(gens.GenSpec("circle-sampled", 150, 30, seed=rng.randrange(1 << 30)))
     reports = [
-        eng.count(inst.points, inst.curves, mode="prefilter", threads=th, tile=64)
+        eng.count(inst.points, inst.curves, mode="prefilter", threads=th, tile=7)
         for th in (1, 2, 8)
     ]
-    reports.append(eng.count(inst.points, inst.curves, mode="prefilter", threads=8, tile=64))
+    reports.append(eng.count(inst.points, inst.curves, mode="prefilter", threads=8, tile=7))
     base = (reports[0].total, reports[0].per_point, reports[0].per_curve)
     for rep in reports[1:]:
         if (rep.total, rep.per_point, rep.per_curve) != base:

@@ -20,6 +20,7 @@ from incidencelab.engine import (
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import GenSpec, gen
 from incidencelab.tangency import Circle2, DirectedPoint, rotate_on_circle, tangent_at
+from incidencelab.verify import anchored_edges
 
 
 class TestCount:
@@ -60,16 +61,11 @@ class TestCount:
         assert a.per_curve == b.per_curve
 
     def test_modes_agree_anchored(self):
-        # besides the planted instance, each crafted circle gets a point on
-        # its sphere but off its plane ((1, 0, 1), (3/5, 4/5, 1)), one on its
-        # plane but off its sphere ((3, 0, 0), (9/5, 12/5, 0)) and points on it
+        # besides the planted instance, the crafted circles and points of
+        # anchored_edges: on the sphere but off the plane, and the reverse
         inst, _ = gen(GenSpec("anchored-planted", 60, 40, seed=6))
-        circles = inst.curves + [AnchoredCircle(Vec3(1, 0, 0), Vec3(0, 0, 1)),
-                                 AnchoredCircle(Vec3(Fraction(3, 5), Fraction(4, 5), 0), Vec3(4, -3, 5))]
-        crafted = [Vec3(1, 0, 1), Vec3(3, 0, 0), Vec3(1, 1, 0), Vec3(1, -1, 0),
-                   Vec3(Fraction(3, 5), Fraction(4, 5), 1), Vec3(Fraction(9, 5), Fraction(12, 5), 0),
-                   Vec3(Fraction(6, 5), Fraction(8, 5), 0)]
-        points = inst.points + crafted
+        crafted, extra = anchored_edges()
+        points, circles = inst.points + crafted, inst.curves + extra
         incident = [[g.n.dot(p) == 0 and (p - g.c).norm2() == 1 for g in circles] for p in points]
         assert [sum(row[-2:]) for row in incident[-len(crafted):]] == [0, 0, 1, 1, 0, 0, 1]
         for mode in ("exact", "prefilter"):
@@ -458,7 +454,7 @@ def test_screen_edges_are_reached(scale):
     if scale > 1:  # M = r^2 is near 2^485, just under SCREEN_MAX
         assert 2.0 ** 900 < pre.tau[0]
     if scale < 1:  # the lifted |p|^2 underflows to 0
-        assert KIND["tangency"].lift_point(KIND["tangency"].int_point(dp))[0][0] == 0.0
+        assert KIND["tangency"].lift_point(KIND["tangency"].int_point(dp))[3] == 0.0
 
 
 def test_anchored_screen_takes_a_huge_normal():
@@ -480,17 +476,20 @@ def test_anchored_screen_decides(kind, total):
 
 # ---------------------------------------------------------------------------
 # Lift identity: on dyadic inputs every float is exact, so each row . column
-# must equal its residual evaluated in Fraction.
+# must equal its residual evaluated in Fraction.  Every kind lifts a point to
+# one row that starts with its float coordinates, and every column is as wide.
 # ---------------------------------------------------------------------------
 
 dyadic = st.builds(Fraction, st.integers(-64, 64), st.sampled_from((1, 2, 4, 8)))
 
 
-def lifted(kind_name, point, curve):
+def lifted(kind_name, point, curve, coords):
     kind = KIND[kind_name]
-    rows, cols = kind.lift_point(kind.int_point(point)), kind.lift_curve(kind.int_curve(curve))
-    assert len(rows) == len(cols) == len(kind.tolerance(1.0))
-    return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, col)) for row, col in zip(rows, cols)]
+    row, cols = kind.lift_point(kind.int_point(point)), kind.lift_curve(kind.int_curve(curve))
+    assert row[:3] == tuple(map(float, coords))
+    assert len(cols) == len(kind.tolerance(1.0))
+    assert all(len(col) == len(row) for col in cols)
+    return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, col)) for col in cols]
 
 
 @PROPERTY
@@ -498,7 +497,7 @@ def lifted(kind_name, point, curve):
 def test_lift_identity_tangency(px, py, u, cx, cy, r2):
     dp, circle = DirectedPoint(Vec2(px, py), u), Circle2(Vec2(cx, cy), r2)
     dx, dy = px - cx, py - cy
-    assert lifted("tangency", dp, circle) == [dx * dx + dy * dy - r2, u * dy + dx]
+    assert lifted("tangency", dp, circle, (px, py, u)) == [dx * dx + dy * dy - r2, u * dy + dx]
 
 
 @PROPERTY
@@ -512,7 +511,7 @@ def test_lift_identity_anchored(px, py, pz, axis, sign, n1, n2):
     p, circle = Vec3(px, py, pz), AnchoredCircle(Vec3(*c), Vec3(*n))
     w = p - circle.c
     s = max(abs(x) for x in (circle.n.x, circle.n.y, circle.n.z)).numerator.bit_length()
-    assert lifted("anchored", p, circle) == [w.norm2() - 1, circle.n.dot(p) / 2 ** s]
+    assert lifted("anchored", p, circle, (px, py, pz)) == [w.norm2() - 1, circle.n.dot(p) / 2 ** s]
 
 
 @PROPERTY
@@ -523,4 +522,4 @@ def test_lift_identity_lines3(px, py, pz, q, v):
         v = (0, 0, 1)
     p, line = Vec3(px, py, pz), Line3(Vec3(*q), Vec3(*v))
     w = (p - line.point).cross(line.direction)
-    assert lifted("lines3", p, line) == [w.z, w.x, w.y]
+    assert lifted("lines3", p, line, (px, py, pz)) == [w.z, w.x, w.y]
