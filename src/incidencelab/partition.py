@@ -7,10 +7,10 @@ Veronese lift of the least degree whose monomial count exceeds the class
 count, refined by local coefficient improvement; the float search only
 guides the hunt, every accepted factor is re-verified with exact sign
 evaluation.  Both work on integers: each point is written as (X, Y, Z) / D
-over one common denominator, so a degree-d monomial row entry is the
-integer X^i Y^j Z^k D^(d-i-j-k) over D^d, which the float search divides
-once, and an exact sign (the balance check, classify) is the sign of an
-integer sum with the factor cleared of its denominators.  Cells are
+over one common denominator, so the row entry for x^i y^j z^k is the
+integer X^i Y^j Z^k over D^(i+j+k), divided once into a float, and an
+exact sign (the balance check, classify) is the sign of an integer sum
+with the factor cleared of its denominators.  Cells are
 sign-vector classes: a computable coarsening of the connected components
 (each true component lies inside one sign class), and every report says so
 via the cell model tag.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -118,24 +119,13 @@ def least_lift_degree(class_count: int) -> int:
     return d
 
 
-def _powers(v: int, n: int) -> List[int]:
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * v)
-    return out
+def _lift(cleared: Sequence[Tuple[int, int, int, int]], monos) -> np.ndarray:
+    """Float monomial rows: the entry for x^i y^j z^k is X^i Y^j Z^k / D^(i+j+k).
 
-
-def _lift(cleared: Sequence[Tuple[int, int, int, int]], monos, d: int) -> np.ndarray:
-    """Float monomial rows from the integers X^i Y^j Z^k D^(d-i-j-k).
-
-    Such an integer over D^d is the exact monomial value, and int / int
+    That quotient of integers is the exact monomial value, and int / int
     rounds correctly, so each float equals float() of the monomial's Fraction.
     """
-    rows = []
-    for X, Y, Z, D in cleared:
-        xs, ys, zs, ds = _powers(X, d), _powers(Y, d), _powers(Z, d), _powers(D, d)
-        rows.append([xs[i] * ys[j] * zs[k] * ds[d - i - j - k] / ds[d] for (i, j, k) in monos])
-    return np.array(rows)
+    return np.array([[X**i * Y**j * Z**k / D**(i + j + k) for i, j, k in monos] for X, Y, Z, D in cleared])
 
 
 def _signs(cleared: Sequence[Tuple[int, int, int, int]], f: MPoly) -> List[int]:
@@ -147,18 +137,13 @@ def _signs(cleared: Sequence[Tuple[int, int, int, int]], f: MPoly) -> List[int]:
     if f.vars != XYZ:
         raise ValueError("signs expect a polynomial over (x, y, z)")
     *coefs, _ = clear_denominators(*f.terms.values())
-    terms = [(*e, c) for e, c in zip(f.terms, coefs)]
     deg = f.total_degree()
+    terms = [(c, i, j, k, deg - i - j - k) for (i, j, k), c in zip(f.terms, coefs)]
     out = []
     for X, Y, Z, D in cleared:
-        xs, ys, zs, ds = _powers(X, deg), _powers(Y, deg), _powers(Z, deg), _powers(D, deg)
-        v = sum(c * xs[i] * ys[j] * zs[k] * ds[deg - i - j - k] for i, j, k, c in terms)
+        v = sum(c * X**i * Y**j * Z**k * D**e for c, i, j, k, e in terms)
         out.append((v > 0) - (v < 0))
     return out
-
-
-def _poly_from_coeffs(monos, coeffs) -> MPoly:
-    return MPoly(XYZ, {mono: c for mono, c in zip(monos, coeffs) if c != 0})
 
 
 def _best_constant(
@@ -383,7 +368,7 @@ def build_partition(
         monos = veronese_monomials(d)
         if d != lift_degree:
             try:
-                vals_matrix = _lift(cleared, monos, d)
+                vals_matrix = _lift(cleared, monos)
             except OverflowError:
                 raise PartitionError("coordinates too large for the float search") from None
             lift_degree = d
@@ -394,8 +379,8 @@ def build_partition(
                 theta, c = _search_level(vals_matrix, labels, sizes, target * 0.999, rng, STARTS * (attempt + 1))
             if not math.isfinite(theta):
                 raise PartitionError("coordinates too large for the float search")
-            coeffs = [Fraction(-theta).limit_denominator(1 << 16)] + [Fraction(int(v)) for v in c]
-            g = _poly_from_coeffs(monos, coeffs)
+            coeffs = [Fraction(-theta).limit_denominator(1 << 16)] + [int(v) for v in c]
+            g = MPoly(XYZ, dict(zip(monos, coeffs)))
             if g.is_zero():
                 continue
             signs = np.array(_signs(cleared, g))
@@ -427,10 +412,7 @@ def classify(points: Sequence[Vec3], pp: PartitionPoly) -> CellAssignment:
     columns = [_signs(cleared, f) for f in pp.factors]
     sign_vectors = [tuple(col[i] for col in columns) for i in range(len(points))]
     on_zero = [0 in sv for sv in sign_vectors]
-    populations: Dict[Tuple[int, ...], int] = {}
-    for sv, zero in zip(sign_vectors, on_zero):
-        if not zero:
-            populations[sv] = populations.get(sv, 0) + 1
+    populations = Counter(sv for sv, zero in zip(sign_vectors, on_zero) if not zero)
     return CellAssignment(sign_vectors, on_zero, populations)
 
 
@@ -446,15 +428,22 @@ class CrossingReport:
 def curve_crossings(curve: RationalCurve, pp: PartitionPoly) -> CrossingReport:
     """Exact crossing count of the curve with the partition zero set.
 
-    Per factor: restrict to the curve and Sturm-count the distinct real
-    roots of its square-free part.  Factors vanishing identically on the
-    curve are flagged contained and left out of the total.  The total counts
-    parameter values where some other factor vanishes, each once: factor i
-    adds the roots left after dividing its square-free part by its gcd with
-    each earlier factor's square-free part, which are exactly its roots that
-    no earlier factor has.  So the total is the number of distinct real
-    roots of the product of the restrictions, without forming the product.
+    Crossings are counted only at parameters where the curve has an affine
+    point (a point with finite coordinates): a root of the cleared
+    restriction where a coordinate denominator vanishes is no crossing.
+    Per factor: restrict to the curve, take the square-free part, divide out
+    its gcd with the square-free part of the denominators' product, and
+    Sturm-count the distinct real roots left.  Factors vanishing identically
+    on the curve are flagged contained and left out of the total.  The total
+    counts parameter values where some other factor vanishes, each once:
+    factor i adds the roots left after dividing its reduced part by its gcd
+    with each earlier factor's reduced part, which are exactly its roots
+    that no earlier factor has.  So the total is the number of distinct real
+    roots of the product of the restrictions away from the denominators'
+    roots, without forming the product.
     """
+    x_den, y_den, z_den = curve.denominators()
+    poles = square_free_part(x_den * y_den * z_den)
     per_factor: List[Union[int, str]] = []
     earlier: List[UniPoly] = []
     total = 0
@@ -464,6 +453,9 @@ def curve_crossings(curve: RationalCurve, pp: PartitionPoly) -> CrossingReport:
             per_factor.append("contained")
             continue
         sf = square_free_part(restricted)
+        g = poly_gcd(sf, poles)
+        if g.degree() > 0:
+            sf = sf.divmod(g)[0]
         count = sturm_count(sf, None, None)
         per_factor.append(count)
         fresh = sf

@@ -491,6 +491,13 @@ class RationalCurve:
     z_num: UniPoly
     z_den: UniPoly
 
+    def denominators(self) -> Tuple[UniPoly, UniPoly, UniPoly]:
+        """(x_den, y_den, z_den); raises when one is identically zero."""
+        dens = (self.x_den, self.y_den, self.z_den)
+        if any(den.is_zero() for den in dens):
+            raise ValueError("parameterization denominator identically zero")
+        return dens
+
     def denominators_vanish_at(self, s: Coef) -> bool:
         s = rat(s)
         return self.x_den.eval(s) == 0 or self.y_den.eval(s) == 0 or self.z_den.eval(s) == 0
@@ -513,9 +520,7 @@ def restrict_to_curve(f: MPoly, curve: RationalCurve) -> UniPoly:
     """
     if f.vars != XYZ:
         raise ValueError("restriction expects a polynomial over (x, y, z)")
-    for den in (curve.x_den, curve.y_den, curve.z_den):
-        if den.is_zero():
-            raise ValueError("parameterization denominator identically zero")
+    curve.denominators()
     if f.is_zero():
         return UniPoly.zero()
     dx = f.degree_in("x")

@@ -5,16 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from incidencelab import partition
-from incidencelab.exact import Vec3
+from incidencelab.exact import Vec2, Vec3, int_vec3
 from incidencelab.anchored import LiftedCircle, lifted_param
 from incidencelab.generators import _rand_circle, rand_rat
 from incidencelab.polynomials import MPoly, RationalCurve, UniPoly, restrict_to_curve, sturm_count, tri
+from incidencelab.tangency import Circle2
 from incidencelab.partition import (
     PartitionError,
     PartitionPoly,
     _best_constant,
+    _lift,
     build_partition,
     classify,
     curve_crossings,
@@ -246,6 +250,23 @@ class TestCrossings:
         rep = curve_crossings(unit_circle_in_plane(0), pp)
         assert rep.per_factor == [2, 2]
         assert rep.total == 2
+
+    def test_no_crossing_where_the_curve_has_no_point(self):
+        # on the lift of the unit circle z = -x/y, so y z + 1 = 1 - x; its cleared
+        # restriction -(s - 1)(s + 1)^3 vanishes only where z_den = 1 - s^2 does,
+        # at the vertical tangents (+-1, 0), where the lift has no point
+        curve = lifted_param(LiftedCircle(Circle2(Vec2(0, 0), 1)), Vec2(0, 1))
+        f = tri({(0, 1, 1): 1, (0, 0, 0): 1})
+        assert restrict_to_curve(f, curve) == UniPoly([1, 2, 0, -2, -1])
+        assert curve.z_den == UniPoly([1, 0, -1])
+        rep = curve_crossings(curve, factors_partition(f))
+        assert rep.total == 0 and rep.per_factor == [0]
+
+    def test_zero_denominator_rejected(self):
+        one = UniPoly.const(1)
+        curve = RationalCurve(one, one, one, UniPoly.zero(), one, one)
+        with pytest.raises(ValueError, match="denominator identically zero"):
+            curve_crossings(curve, factors_partition(tri({(1, 0, 0): 1})))
 
     def test_sturm_vs_numeric_sampling_on_lifted_circles(self):
         rng = random.Random(13)
@@ -559,3 +580,36 @@ class TestClassifyCleared:
         pp = factors_partition(MPoly(("z", "x", "y"), {(1, 1, 0): 1}))
         with pytest.raises(ValueError, match=r"over \(x, y, z\)"):
             classify([Vec3(1, 2, 3)], pp)
+
+
+# numerators and denominators small or near 2^200, drawn per coordinate
+magnitude = st.one_of(st.integers(-20, 20), st.integers(1 << 199, 1 << 201), st.integers(-(1 << 201), -(1 << 199)))
+denominator = st.one_of(st.integers(1, 12), st.integers(1 << 199, 1 << 201))
+rationals = st.builds(Fraction, magnitude, denominator)
+
+
+@st.composite
+def points_and_factors(draw):
+    """Points, and one or two factors of degree 1 to 3, each through one of the points."""
+    pts = draw(st.lists(st.builds(Vec3, rationals, rationals, rationals), min_size=1, max_size=5))
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        monos = veronese_monomials(draw(st.integers(1, 3)))
+        g = tri(dict(zip(monos, draw(st.lists(rationals, min_size=len(monos), max_size=len(monos))))))
+        p = draw(st.sampled_from(pts))
+        factors.append(g - tri({(0, 0, 0): g.eval({"x": p.x, "y": p.y, "z": p.z})}))
+    return pts, factors
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(points_and_factors())
+def test_point_layer_at_adversarial_magnitudes(case):
+    pts, factors = case
+    for d in (1, 2, 3):
+        monos = veronese_monomials(d)
+        rows = _lift([int_vec3(p) for p in pts], monos)
+        assert rows.tolist() == [[float(p.x ** i * p.y ** j * p.z ** k) for i, j, k in monos] for p in pts]
+    pp = factors_partition(*factors)
+    ca = classify(pts, pp)
+    assert ca.sign_vectors == signs_by_eval(pts, pp)
+    assert any(ca.on_zero_set) or all(f.is_zero() for f in factors)
