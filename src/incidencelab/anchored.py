@@ -261,9 +261,11 @@ def lifted_contains(lc: LiftedCircle, pt: Vec3) -> bool:
 def lifted_param(lc: LiftedCircle, base_point: Vec2) -> RationalCurve:
     """Rational parameterization of the lift through a known rational point.
 
-    (x, y) is the tan-half rotation of base_point around the base circle;
-    z = (cx - x)/(y - cy) reduces to a polynomial ratio whose denominator
-    vanishes exactly at the vertical-tangency parameters.
+    (x, y) is the tan-half rotation of base_point around the base circle and
+    z = (cx - x)/(y - cy), all over w = (1 + s^2) z_den, whose real roots are
+    the vertical tangencies.  Lowest terms hold since base_point is not the
+    center: z_den and the z numerator share no root, and at s = +-i neither
+    z_den nor the x numerator vanishes.
     """
     c = lc.base
     d = base_point - c.center
@@ -277,7 +279,7 @@ def lifted_param(lc: LiftedCircle, base_point: Vec2) -> RationalCurve:
     y_num = UniPoly.const(c.center.y) * den + s.scale(2 * d.x) + (one - s2).scale(d.y)
     z_num = s.scale(2 * d.y) - (one - s2).scale(d.x)
     z_den = s.scale(2 * d.x) + (one - s2).scale(d.y)
-    return RationalCurve(x_num, den, y_num, den, z_num, z_den)
+    return RationalCurve(x_num * z_den, y_num * z_den, z_num * den, den * z_den)
 
 
 def lift_sample(lc: LiftedCircle, base_point: Vec2, rng) -> Vec3:

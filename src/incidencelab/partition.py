@@ -428,22 +428,18 @@ class CrossingReport:
 def curve_crossings(curve: RationalCurve, pp: PartitionPoly) -> CrossingReport:
     """Exact crossing count of the curve with the partition zero set.
 
-    Crossings are counted only at parameters where the curve has an affine
-    point (a point with finite coordinates): a root of the cleared
-    restriction where a coordinate denominator vanishes is no crossing.
-    Per factor: restrict to the curve, take the square-free part, divide out
-    its gcd with the square-free part of the denominators' product, and
-    Sturm-count the distinct real roots left.  Factors vanishing identically
-    on the curve are flagged contained and left out of the total.  The total
-    counts parameter values where some other factor vanishes, each once:
-    factor i adds the roots left after dividing its reduced part by its gcd
-    with each earlier factor's reduced part, which are exactly its roots
-    that no earlier factor has.  So the total is the number of distinct real
-    roots of the product of the restrictions away from the denominators'
-    roots, without forming the product.
+    Crossings are counted only where the curve has an affine point (a point
+    with finite coordinates): restrict_to_curve owns that rule, so the real
+    roots of each restriction are the crossings.  Per factor: restrict to
+    the curve, take the square-free part and Sturm-count its distinct real
+    roots.  Factors vanishing identically on the curve are flagged contained
+    and left out of the total.  The total counts parameter values where some
+    other factor vanishes, each once: factor i adds the roots left after
+    dividing its square-free part by its gcd with each earlier factor's,
+    which are exactly its roots that no earlier factor has.  So the total is
+    the number of distinct real roots of the product of the restrictions,
+    without forming the product.
     """
-    x_den, y_den, z_den = curve.denominators()
-    poles = square_free_part(x_den * y_den * z_den)
     per_factor: List[Union[int, str]] = []
     earlier: List[UniPoly] = []
     total = 0
@@ -453,9 +449,6 @@ def curve_crossings(curve: RationalCurve, pp: PartitionPoly) -> CrossingReport:
             per_factor.append("contained")
             continue
         sf = square_free_part(restricted)
-        g = poly_gcd(sf, poles)
-        if g.degree() > 0:
-            sf = sf.divmod(g)[0]
         count = sturm_count(sf, None, None)
         per_factor.append(count)
         fresh = sf

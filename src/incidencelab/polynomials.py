@@ -5,7 +5,8 @@ curves (Sturm sequences with content removal each step).  MPoly is a sparse
 exponent-map polynomial in named variables; it carries partition factors,
 the cubic surface, and the resultant elimination.  Resultants go through
 the Sylvester matrix with fraction-free (Bareiss) elimination, which stays
-in the coefficient ring via exact division.
+in the coefficient ring via exact division.  A RationalCurve is (x, y, z)/w
+over one denominator; a restriction keeps only roots at its affine points.
 """
 
 from __future__ import annotations
@@ -482,54 +483,49 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
 
 @dataclass(frozen=True)
 class RationalCurve:
-    """Curve s -> (x(s), y(s), z(s)) with each coordinate a UniPoly ratio."""
+    """Curve s -> (x(s), y(s), z(s)) / w(s) over one common denominator w.
 
-    x_num: UniPoly
-    x_den: UniPoly
-    y_num: UniPoly
-    y_den: UniPoly
-    z_num: UniPoly
-    z_den: UniPoly
+    In lowest terms: no root of w is a common root of x, y and z, so the
+    curve has an affine point (finite coordinates) exactly where w != 0.
+    """
 
-    def denominators(self) -> Tuple[UniPoly, UniPoly, UniPoly]:
-        """(x_den, y_den, z_den); raises when one is identically zero."""
-        dens = (self.x_den, self.y_den, self.z_den)
-        if any(den.is_zero() for den in dens):
+    x: UniPoly
+    y: UniPoly
+    z: UniPoly
+    w: UniPoly
+
+    def __post_init__(self):
+        if self.w.is_zero():
             raise ValueError("parameterization denominator identically zero")
-        return dens
-
-    def denominators_vanish_at(self, s: Coef) -> bool:
-        s = rat(s)
-        return self.x_den.eval(s) == 0 or self.y_den.eval(s) == 0 or self.z_den.eval(s) == 0
 
     def point_at(self, s: Coef) -> Vec3:
         s = rat(s)
-        return Vec3(
-            self.x_num.eval(s) / self.x_den.eval(s),
-            self.y_num.eval(s) / self.y_den.eval(s),
-            self.z_num.eval(s) / self.z_den.eval(s),
-        )
+        w = self.w.eval(s)
+        return Vec3(self.x.eval(s) / w, self.y.eval(s) / w, self.z.eval(s) / w)
 
 
 def restrict_to_curve(f: MPoly, curve: RationalCurve) -> UniPoly:
-    """Numerator of f(x(s), y(s), z(s)) after clearing all denominators.
+    """f on the curve, cleared of w and of every root it shares with w.
 
-    Away from parameter values where a denominator vanishes, the real roots
-    of the returned polynomial are exactly the parameters where f vanishes
-    on the curve.
+    The sum of c x^i y^j z^k w^(d - i - j - k) over the terms of f, d its
+    total degree, is w^d f(x/w, y/w, z/w); its factors shared with w are
+    divided out until none is left.  So the real roots of the result are
+    exactly the parameters where the curve has an affine point on f = 0,
+    and the result is zero exactly when f vanishes on the whole curve.
     """
     if f.vars != XYZ:
         raise ValueError("restriction expects a polynomial over (x, y, z)")
-    curve.denominators()
     if f.is_zero():
         return UniPoly.zero()
-    dx = f.degree_in("x")
-    dy = f.degree_in("y")
-    dz = f.degree_in("z")
-    xp = [curve.x_num.pow(i) * curve.x_den.pow(dx - i) for i in range(dx + 1)]
-    yp = [curve.y_num.pow(j) * curve.y_den.pow(dy - j) for j in range(dy + 1)]
-    zp = [curve.z_num.pow(k) * curve.z_den.pow(dz - k) for k in range(dz + 1)]
+    d = f.total_degree()
+    xp, yp, zp, wp = ([p.pow(e) for e in range(d + 1)] for p in (curve.x, curve.y, curve.z, curve.w))
     out = UniPoly.zero()
     for (i, j, k), c in f.terms.items():
-        out = out + (xp[i] * yp[j] * zp[k]).scale(c)
+        out = out + (xp[i] * yp[j] * zp[k] * wp[d - i - j - k]).scale(c)
+    if out.is_zero():
+        return out
+    g = poly_gcd(out, curve.w)
+    while g.degree() > 0:
+        out = out.divmod(g)[0]
+        g = poly_gcd(out, g)
     return out

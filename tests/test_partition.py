@@ -25,7 +25,7 @@ from incidencelab.partition import (
     least_lift_degree,
     veronese_monomials,
 )
-from incidencelab.verify import crossing_trial, run_trials
+from incidencelab.verify import crossing_trial, numeric_crossing_count, run_trials
 
 
 def rand_points(rng, m):
@@ -223,8 +223,7 @@ def unit_circle_in_plane(z_level):
     one = UniPoly.const(1)
     s = UniPoly.x()
     s2 = s * s
-    return RationalCurve(one - s2, one + s2, s.scale(2), one + s2,
-                         UniPoly.const(z_level), one)
+    return RationalCurve(one - s2, s.scale(2), (one + s2).scale(z_level), one + s2)
 
 
 class TestCrossings:
@@ -252,21 +251,20 @@ class TestCrossings:
         assert rep.total == 2
 
     def test_no_crossing_where_the_curve_has_no_point(self):
-        # on the lift of the unit circle z = -x/y, so y z + 1 = 1 - x; its cleared
-        # restriction -(s - 1)(s + 1)^3 vanishes only where z_den = 1 - s^2 does,
-        # at the vertical tangents (+-1, 0), where the lift has no point
+        # on the lift of the unit circle z = -x/y, so y z + 1 = 1 - x; cleared of
+        # w = 1 - s^4 it vanishes only where w does, at s = +-1 (the vertical
+        # tangents (+-1, 0), where the lift has no point) and s = +-i
         curve = lifted_param(LiftedCircle(Circle2(Vec2(0, 0), 1)), Vec2(0, 1))
         f = tri({(0, 1, 1): 1, (0, 0, 0): 1})
-        assert restrict_to_curve(f, curve) == UniPoly([1, 2, 0, -2, -1])
-        assert curve.z_den == UniPoly([1, 0, -1])
+        assert restrict_to_curve(f, curve) == UniPoly([1])
+        assert curve.w == UniPoly([1, 0, 0, 0, -1])
         rep = curve_crossings(curve, factors_partition(f))
         assert rep.total == 0 and rep.per_factor == [0]
 
     def test_zero_denominator_rejected(self):
         one = UniPoly.const(1)
-        curve = RationalCurve(one, one, one, UniPoly.zero(), one, one)
         with pytest.raises(ValueError, match="denominator identically zero"):
-            curve_crossings(curve, factors_partition(tri({(1, 0, 0): 1})))
+            RationalCurve(one, one, one, UniPoly.zero())
 
     def test_sturm_vs_numeric_sampling_on_lifted_circles(self):
         rng = random.Random(13)
@@ -523,6 +521,18 @@ class TestMergedTotal:
         pp = factors_partition(tri({(0, 0, 1): 1}), tri({(2, 0, 0): 1}), tri({(0, 0, 1): 1, (0, 0, 0): -5}))
         rep = curve_crossings(unit_circle_in_plane(0), pp)
         assert rep.per_factor == ["contained", 2, 0]
+
+    def test_pole_case_on_every_oracle(self):
+        # on the lift of the unit circle through (0, 1), y and y z + 1 (1 - x on
+        # the lift) restrict to polynomials that vanish only where w does, at
+        # the vertical tangents (+-1, 0), where the lift has no point; x = 0 at
+        # (0, 1), parameter s = 0 (its point (0, -1) at s = infinity is not counted)
+        curve = lifted_param(LiftedCircle(Circle2(Vec2(0, 0), 1)), Vec2(0, 1))
+        factors = [tri({(1, 0, 0): 1}), tri({(0, 1, 0): 1}), tri({(0, 1, 1): 1, (0, 0, 0): 1})]
+        pp = factors_partition(*factors)
+        rep = curve_crossings(curve, pp)
+        assert rep.total == crossings_by_product(curve, pp) == 1
+        assert rep.per_factor == [numeric_crossing_count(restrict_to_curve(f, curve)) for f in factors] == [1, 0, 0]
 
     def test_seeded_lifted_circles(self):
         rng = random.Random(23)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from incidencelab.anchored import LiftedCircle, lifted_param
+from incidencelab.exact import Vec2, Vec3
 from incidencelab.polynomials import (
     MPoly,
     RationalCurve,
@@ -20,6 +22,7 @@ from incidencelab.polynomials import (
     sturm_count,
     tri,
 )
+from incidencelab.tangency import Circle2
 
 
 def upoly(*coeffs):
@@ -184,11 +187,7 @@ class TestResultant:
 def unit_circle_curve():
     one = UniPoly.const(1)
     s, s2 = UniPoly.x(), UniPoly.x() * UniPoly.x()
-    return RationalCurve(
-        x_num=one - s2, x_den=one + s2,
-        y_num=s.scale(2), y_den=one + s2,
-        z_num=UniPoly.zero(), z_den=one,
-    )
+    return RationalCurve(x=one - s2, y=s.scale(2), z=UniPoly.zero(), w=one + s2)
 
 
 class TestRestrictToCurve:
@@ -205,10 +204,52 @@ class TestRestrictToCurve:
     def test_line_crossing(self):
         one = UniPoly.const(1)
         s = UniPoly.x()
-        line = RationalCurve(s, one, s, one, s - UniPoly.const(3), one)
+        line = RationalCurve(s, s, s - UniPoly.const(3), one)
         f = tri({(0, 0, 1): 1})  # z
         r = restrict_to_curve(f, line)
         assert r.degree() == 1 and r.eval(3) == 0
+
+    def test_root_shared_with_w_stripped_past_its_multiplicity_in_w(self):
+        # w = (s - 1)^2, and x^3 (x - y) restricts to (s - 1)^3 (s - 2): the strip
+        # takes (s - 1)^2, then s - 1, and stops at s - 2, where the curve
+        # passes through (1, 1, 2)
+        one, s = UniPoly.const(1), UniPoly.x()
+        curve = RationalCurve(s - one, one, s, (s - one).pow(2))
+        f = tri({(4, 0, 0): 1, (3, 1, 0): -1})
+        assert restrict_to_curve(f, curve) == upoly(-2, 1)
+        assert curve.point_at(2) == Vec3(1, 1, 2)
+
+
+small = st.fractions(-9, 9, max_denominator=9)
+
+
+@st.composite
+def lifted_factor_and_parameters(draw):
+    """A lifted circle, a factor of degree 1 to 3 through its point at s0,
+    and s0 and one more parameter s, neither a root of w."""
+    center, base = Vec2(draw(small), draw(small)), Vec2(draw(small), draw(small))
+    assume(base != center)
+    curve = lifted_param(LiftedCircle(Circle2(center, (base - center).norm2())), base)
+    s0, s = draw(small), draw(small)
+    assume(curve.w.eval(s0) != 0 and curve.w.eval(s) != 0)
+    d = draw(st.integers(1, 3))
+    monos = [(i, j, k) for i in range(d + 1) for j in range(d + 1 - i) for k in range(d + 1 - i - j)]
+    terms = dict(zip(monos, draw(st.lists(st.integers(-5, 5), min_size=len(monos), max_size=len(monos)))))
+    terms[draw(st.sampled_from([e for e in monos if sum(e) == d]))] = draw(st.integers(1, 5))
+    g = tri(terms)
+    p0 = curve.point_at(s0)
+    return curve, g - tri({(0, 0, 0): g.eval({"x": p0.x, "y": p0.y, "z": p0.z})}), (s0, s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+@given(lifted_factor_and_parameters())
+def test_restriction_vanishes_exactly_where_the_factor_does_on_the_curve(case):
+    curve, f, params = case
+    r = restrict_to_curve(f, curve)
+    for s in params:
+        p = curve.point_at(s)
+        assert (r.eval(s) == 0) == (f.eval({"x": p.x, "y": p.y, "z": p.z}) == 0)
+    assert r.is_zero() or poly_gcd(r, curve.w).degree() == 0
 
 
 class TestDivexact:
