@@ -19,7 +19,10 @@ Above SAMPLE points the search climbs on a fixed stratified sample of the
 classes, used as an epsilon-approximation: polynomial sign ranges have
 bounded VC-dimension (Agarwal, Matousek and Sharir 2013, after Haussler and
 Welzl 1987).  The threshold is still picked on all points, and the exact
-balance check on all points stays the gate.
+balance check on all points stays the gate.  There a level stops at the
+first start that splits every class within epsilon/2 on all points (see
+_search_level), and PartitionPoly.starts records the starts each level
+tried.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,7 +56,8 @@ SAMPLE = 1024  # above this many points a level searches on a stratified sample 
 class PartitionError(ValueError):
     """build_partition cannot build: bad levels or epsilon, too few points,
     coordinates too large for the float search, or the balance target
-    missed, in which case best_epsilon is the best balance achieved."""
+    missed, in which case best_epsilon is the best balance the failing
+    level achieved."""
 
     def __init__(self, message: str, best_epsilon: Optional[float] = None):
         if best_epsilon is not None:
@@ -69,6 +73,7 @@ class PartitionPoly:
     balances: List[float]  # achieved epsilon per level
     epsilon: float
     seed: int
+    starts: List[int] = field(default_factory=list)  # search starts tried per level, over all its attempts
 
     @property
     def degree_budget(self) -> int:
@@ -82,6 +87,7 @@ class PartitionPoly:
             "epsilon": self.epsilon,
             "seed": self.seed,
             "cell_model": CELL_MODEL,
+            "starts": self.starts,
         }
 
 
@@ -287,7 +293,8 @@ def _search_level(
     target: float,
     rng: random.Random,
     starts: int,
-) -> Tuple[float, np.ndarray]:
+    enough: float,
+) -> Tuple[float, np.ndarray, int]:
     """Randomized hyperplane search + local coefficient improvement.
 
     With more than SAMPLE points the starts and the hill-climb score on the
@@ -298,8 +305,20 @@ def _search_level(
     step and the final threshold lower its largest side first.  With at
     most SAMPLE points every score is on all points.
 
-    Returns a float threshold theta and integer coefficients for the
-    non-constant monomials (the caller snaps -theta to a rational constant).
+    The search stops at the first start whose score on all points has no
+    excess and an imbalance of at most enough.  build_partition passes
+    enough = (epsilon/2)^2 * sum n_c^2 above SAMPLE points: when every
+    class c meets (above - below)^2 <= (epsilon/2)^2 n_c^2, each of its
+    halves holds at most (1 + epsilon/2) n_c / 2 points, so half of the
+    epsilon slack is left for the later levels.  A sampled climb almost
+    never scores a perfect (0, 0) on all points, so without this bound
+    every sampled level would run all its starts.  At most SAMPLE points it
+    passes 0, and only a perfect (0, 0) stops early: a bound there made
+    more small builds fail, and those builds stay as they were.
+
+    Returns a float threshold theta, integer coefficients for the
+    non-constant monomials (the caller snaps -theta to a rational constant)
+    and the number of starts tried.
     """
     m, n_mono = vals_matrix.shape
     sampled = m > SAMPLE
@@ -312,7 +331,7 @@ def _search_level(
     best_c: Optional[np.ndarray] = None
     best_theta = 0.0
     best_score = (float("inf"), float("inf"))
-    for _ in range(starts):
+    for tried in range(1, starts + 1):
         c = np.array([rng.randint(-9, 9) for _ in range(n_mono - 1)], dtype=float)
         if not c.any():
             c[rng.randrange(n_mono - 1)] = 1.0
@@ -323,12 +342,12 @@ def _search_level(
             best_score = score
             best_c = c.copy()
             best_theta = theta
-        if best_score[0] == 0.0 and best_score[1] == 0.0:
+        if best_score[0] == 0.0 and best_score[1] <= enough:
             break
     assert best_c is not None
     if sampled:
         best_theta, _ = _climb(vals_matrix, labels, sizes, 0.0, best_c, rng, 1)
-    return best_theta, best_c
+    return best_theta, best_c, tried
 
 
 def build_partition(
@@ -342,7 +361,7 @@ def build_partition(
     After level j every sign class holds at most (1 + epsilon) * m / 2^j
     points, re-checked with exact arithmetic; the float search only
     proposes candidates.  Every reason it cannot build raises PartitionError;
-    exhausting the retry budget carries the best achieved epsilon.
+    exhausting the retry budget carries the failing level's best epsilon.
     """
     m = len(points)
     if levels < 1:
@@ -359,7 +378,7 @@ def build_partition(
     k = 1
     labels = np.zeros(m, dtype=np.min_scalar_type(k))
     sizes = np.array([m, 0])
-    best_eps_seen = float("inf")
+    starts: List[int] = []
 
     cleared = [int_vec3(p) for p in points]
     lift_degree = None
@@ -373,10 +392,15 @@ def build_partition(
                 raise PartitionError("coordinates too large for the float search") from None
             lift_degree = d
         target = (1 + epsilon) * m / (2 ** level)
+        enough = (epsilon / 2) ** 2 * float(sizes @ sizes) if m > SAMPLE else 0.0
         accepted = None
+        best_eps_seen = float("inf")
+        tried = 0
         for attempt in range(RETRIES):
             with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN values are scored as they are
-                theta, c = _search_level(vals_matrix, labels, sizes, target * 0.999, rng, STARTS * (attempt + 1))
+                theta, c, n = _search_level(
+                    vals_matrix, labels, sizes, target * 0.999, rng, STARTS * (attempt + 1), enough)
+            tried += n
             if not math.isfinite(theta):
                 raise PartitionError("coordinates too large for the float search")
             coeffs = [Fraction(-theta).limit_denominator(1 << 16)] + [int(v) for v in c]
@@ -397,13 +421,14 @@ def build_partition(
         factors.append(g)
         degrees.append(g.total_degree())
         balances.append(achieved)
+        starts.append(tried)
         halves = np.where((signs == 0) | (labels == k), 2 * k, 2 * labels.astype(np.intp) + (signs > 0))
         kept, labels = np.unique(halves, return_inverse=True)
         k = int(np.count_nonzero(kept < 2 * k))  # the nonempty classes; the spare 2k sorts last
         labels = labels.astype(np.min_scalar_type(k))
         sizes = np.bincount(labels[labels < k], minlength=k + 1)
 
-    return PartitionPoly(factors, degrees, balances, epsilon, seed)
+    return PartitionPoly(factors, degrees, balances, epsilon, seed, starts)
 
 
 def classify(points: Sequence[Vec3], pp: PartitionPoly) -> CellAssignment:

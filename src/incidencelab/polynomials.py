@@ -105,12 +105,6 @@ class UniPoly:
             acc = acc * t + c
         return acc
 
-    def eval_float(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
-
     def derivative(self) -> "UniPoly":
         return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 

@@ -650,19 +650,32 @@ def _partition_degrees(rng, scale) -> str:
     return f"level degrees {pp.level_degrees} follow the lift schedule"
 
 
+def _horner(coeffs: List[float], samples: np.ndarray) -> np.ndarray:
+    """Float values at every sample by Horner's rule, highest coefficient
+    first and starting from 0: acc = acc * t + c, the same two roundings per
+    step as a scalar float loop, so the same floats: inf and NaN arise
+    exactly where they would for Python floats."""
+    acc = np.zeros_like(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeffs:
+            acc = acc * samples + c
+    return acc
+
+
 def numeric_crossing_count(poly: UniPoly) -> int:
     """Dense numeric sampling oracle with exact confirmation at sign changes.
 
     Samples a uniform grid over the root bound refined around the numeric
-    root locations (so close roots are not skipped), then confirms the sign
-    change of every bracket with exact rational evaluation (floats convert
-    to Fractions exactly).  Counts distinct odd-multiplicity real roots.
+    root locations (so close roots are not skipped), guesses the sign at
+    every sample in one float pass, then confirms the sign change of every
+    bracket with exact rational evaluation (floats convert to Fractions
+    exactly).  Counts distinct odd-multiplicity real roots.
     """
     from .polynomials import cauchy_root_bound
 
     bound = min(float(cauchy_root_bound(poly)) + 1, 1e9)
     samples = [float(t) for t in np.linspace(-bound, bound, 2001)]
-    coeffs = list(reversed([float(c) for c in poly.coeffs]))
+    coeffs = [float(c) for c in reversed(poly.coeffs)]  # raises OverflowError past the float range
     roots = np.roots(coeffs) if len(coeffs) > 1 else []
     for r in roots:
         if abs(r.imag) < 1e-6 * max(1.0, abs(r)):
@@ -671,12 +684,12 @@ def numeric_crossing_count(poly: UniPoly) -> int:
             samples.extend(float(t) for t in np.linspace(r.real - spread, r.real + spread, 81))
             samples.extend(float(t) for t in np.linspace(r.real - width, r.real + width, 9))
     samples = sorted(set(samples))
+    acc = _horner(coeffs, np.array(samples))
+    guesses = ((acc > 0).astype(np.int8) - (acc < 0)).tolist()  # NaN guesses 0, as a Python float would
     changes = 0
     v = poly.eval(Fraction(samples[0]))
     prev_sign = (v > 0) - (v < 0)
-    for t in samples[1:]:
-        fv = poly.eval_float(t)
-        guess = (fv > 0) - (fv < 0)
+    for t, guess in zip(samples[1:], guesses[1:]):
         if guess != prev_sign:
             v = poly.eval(Fraction(t))  # exact confirmation
             sign = (v > 0) - (v < 0)

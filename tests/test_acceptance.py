@@ -116,7 +116,7 @@ def test_partition_contract():
     # the partition itself is pinned: the pin moves only in a change that
     # announces the new output and its digest
     digest = hashlib.sha256(json.dumps(pp.to_json(), sort_keys=True).encode()).hexdigest()
-    assert digest == "facad840e85f8bf99a86117bb2669a2391258bf82a2b9c77299a5b40e2a4ad49"
+    assert digest == "e752f876c9be099db33b20ff03a4e18765814d664f462ce16e9409ca8fe329cc"
     ca = classify(pts, pp)
     limit = 1.1 * 4096 / 16
     assert ca.max_population() <= limit, f"{ca.max_population()} > {limit}"

@@ -166,6 +166,16 @@ class TestBadInput:
         assert (code, out) == (cli.EXIT_INFEASIBLE, "")
         assert err == "partition failed: coordinates too large for the float search\n"
 
+    def test_partition_balance_failure_names_the_failing_levels_epsilon(self, tmp_path):
+        # level 1 splits evenly; level 2 keeps the 4 equal points on one side
+        points = [{"p": ["0", "0"], "u": "0"}] * 4 + [
+            {"p": [str(x), str(y)], "u": str(u)} for x, y, u in [(1, 2, 3), (-2, 5, 1), (3, -1, 4), (7, 2, -3)]]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"kind": "tangency", "points": points, "curves": []}))
+        code, out, err = run(["partition", "--input", str(path), "--levels", "2", "--epsilon", "0.1"])
+        assert (code, out) == (cli.EXIT_INFEASIBLE, "")
+        assert err == "partition failed: level 2 failed balance target (best achieved epsilon 1.0000)\n"
+
     @pytest.mark.parametrize("command, fields", [
         ("count", {"threads": "2"}),
         ("count", {"m": "5"}),

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from incidencelab import partition
+from incidencelab import partition, verify
 from incidencelab.exact import Vec2, Vec3, int_vec3
 from incidencelab.anchored import LiftedCircle, lifted_param
-from incidencelab.generators import _rand_circle, rand_rat
+from incidencelab.generators import GenSpec, _rand_circle, gen, rand_rat
 from incidencelab.polynomials import MPoly, RationalCurve, UniPoly, restrict_to_curve, sturm_count, tri
 from incidencelab.tangency import Circle2
 from incidencelab.partition import (
@@ -86,6 +86,15 @@ class TestBuild:
         with pytest.raises(PartitionError) as err:
             build_partition(pts, 1, 0.01, seed=8)
         assert err.value.best_epsilon > 0.01
+
+    def test_failure_reports_the_failing_levels_epsilon(self):
+        # level 1 splits the points evenly (epsilon 0), but every level-2
+        # factor leaves the 4 equal points on one side (epsilon 1)
+        pts = [Vec3(0, 0, 0)] * 4 + [Vec3(1, 2, 3), Vec3(-2, 5, 1), Vec3(3, -1, 4), Vec3(7, 2, -3)]
+        with pytest.raises(PartitionError) as err:
+            build_partition(pts, 2, 0.1)
+        assert str(err.value) == "level 2 failed balance target (best achieved epsilon 1.0000)"
+        assert err.value.best_epsilon == 1.0
 
     @pytest.mark.filterwarnings("error")  # the float search overflows quietly
     @pytest.mark.parametrize("exponent, m, levels", [(153, 16, 3), (152, 32, 4)], ids=["lift", "search"])
@@ -195,6 +204,16 @@ class TestSample:
         pp = build_partition(pts, levels, eps, seed=seed)
         assert max(pp.balances) <= eps
         assert classify(pts, pp).max_population() <= (1 + eps) * m / 2 ** levels
+
+    def test_sampled_levels_stop_at_a_good_enough_start(self):
+        # perfbench's partition input 0 at seed 0: a start that splits every
+        # class within epsilon/2 on all points ends the level, with no retry
+        inst, _ = gen(GenSpec("random-tangency", 4096, 0, seed=135988823))
+        pts = [Vec3(p.p.x, p.p.y, p.u) for p in inst.points]
+        pp = build_partition(pts, 4, 0.1, seed=135988823)
+        assert len(pp.starts) == 4 and max(pp.starts) <= partition.STARTS  # no retry
+        assert all(n < partition.STARTS for n in pp.starts[1:])
+        assert max(pp.balances) <= 0.1
 
 
 class TestClassify:
@@ -307,6 +326,7 @@ class TestGolden:
             "epsilon": 0.15,
             "seed": 31,
             "cell_model": "sign-vector classes (coarsening of connected components)",
+            "starts": [1, 2, 18],
         }
 
     def test_four_level_partition_pinned(self):
@@ -318,7 +338,11 @@ class TestGolden:
         assert pp.level_degrees == [1, 1, 2, 2]
         assert len(classify(pts, pp).populations) == 16
         assert all(type(b) is float for b in pp.balances)
-        payload = json.dumps(pp.to_json(), sort_keys=True).encode()
+        # at m <= SAMPLE only a perfect score stops a level early
+        assert pp.starts == [1, 5, 40, 40]
+        payload = pp.to_json()
+        del payload["starts"]
+        payload = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(payload).hexdigest() == (
             "3d995738a9dee7b817c9249b3f77e663013d4bed838c673b5fbffbdcf5bbbc50")
 
@@ -550,6 +574,34 @@ def signs_by_eval(points, pp):
         vals = [f.eval({"x": p.x, "y": p.y, "z": p.z}) for f in pp.factors]
         out.append(tuple((v > 0) - (v < 0) for v in vals))
     return out
+
+
+def scalar_horner(coeffs, t):
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
+
+
+class TestNumericCrossingCount:
+    def test_float_pass_matches_a_scalar_loop(self):
+        # coefficients up to 10^40 and samples out to 1e300 overflow to inf,
+        # and infinite samples give NaN; the array pass must give the same
+        # floats and guesses
+        rng = random.Random(61)
+        for _ in range(300):
+            coeffs = [float(rand_rat(rng, 10 ** 40, 10 ** rng.randint(0, 20))) for _ in range(rng.randint(1, 9))]
+            samples = {rng.choice([1, -1]) * 10 ** rng.uniform(-5, 300) for _ in range(200)}
+            samples = sorted(samples | {0.0, np.inf, -np.inf})
+            got = verify._horner(coeffs, np.array(samples))
+            want = np.array([scalar_horner(coeffs, t) for t in samples])
+            assert np.array_equal(got, want, equal_nan=True)
+            guesses = (got > 0).astype(np.int8) - (got < 0)
+            assert guesses.tolist() == [(v > 0) - (v < 0) for v in want.tolist()]
+
+    def test_coefficient_past_the_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            numeric_crossing_count(UniPoly([1, 0, Fraction(10 ** 400, 3)]))
 
 
 class TestClassifyCleared:
