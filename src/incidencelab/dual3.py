@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .exact import RatLike, Vec2, Vec3, int_vec3, primitive_int_vec3, rat, rat_to_str
+from .exact import RatLike, Vec2, Vec3, int_vec3, primitive3, primitive_int_vec3, rat, rat_to_str
 from .tangency import Circle2, DirectedPoint, Line2, int_dp
 
 
@@ -37,16 +37,24 @@ class Line3:
     direction: Vec3
 
     def __init__(self, point: Vec3, direction: Vec3):
+        self._canonical(*int_vec3(point), *int_vec3(direction)[:3])
+
+    @classmethod
+    def from_ints(cls, px: int, py: int, pz: int, d: int, vx: int, vy: int, vz: int) -> "Line3":
+        """The line through (px, py, pz) / d along the nonzero (vx, vy, vz)."""
+        line = cls.__new__(cls)
+        line._canonical(px, py, pz, d, vx, vy, vz)
+        return line
+
+    def _canonical(self, px, py, pz, d, vx, vy, vz) -> None:
         # foot P - v (P.v) / |v|^2 = (P |v|^2 - v (P.v)) / (d |v|^2), P = (px, py, pz) / d
-        direction = primitive_int_vec3(direction)
-        vx, vy, vz = direction.x.numerator, direction.y.numerator, direction.z.numerator
-        px, py, pz, d = int_vec3(point)
+        vx, vy, vz = primitive3(vx, vy, vz)
         n2 = vx * vx + vy * vy + vz * vz
         s = px * vx + py * vy + pz * vz
         e = d * n2
         foot = Vec3(Fraction(px * n2 - vx * s, e), Fraction(py * n2 - vy * s, e), Fraction(pz * n2 - vz * s, e))
         object.__setattr__(self, "point", foot)
-        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "direction", Vec3(vx, vy, vz))
 
     def contains(self, x: Vec3) -> bool:
         return pair_lines3(int_vec3(x), int_line3(self))
@@ -137,9 +145,6 @@ class DualLine3:
     def direction(self) -> Vec3:
         return primitive_int_vec3(Vec3(-self.u, 1, 2 * self.p.x * self.u - 2 * self.p.y))
 
-    def as_line3(self) -> Line3:
-        return Line3(self.point0(), self.direction())
-
     def contains(self, pt: Vec3) -> bool:
         on_nv = self.nonvertical_plane().eval_at(pt) == 0
         on_v = (pt.x - self.p.x) + self.u * (pt.y - self.p.y) == 0
@@ -216,12 +221,6 @@ def pair_plane(P: tuple, Q: tuple) -> Optional[Tuple[int, int, int, int]]:
 def _power_plane(plane: Tuple[int, int, int, int]) -> PowerPlane:
     a, b, d, g = plane
     return PowerPlane(Fraction(a, g), Fraction(b, g), Fraction(d, g))
-
-
-def _plane_through_pair(dp1: DirectedPoint, dp2: DirectedPoint) -> Optional[PowerPlane]:
-    """The non-vertical plane containing both dual lines, if exactly one does."""
-    plane = pair_plane(int_dp(dp1), int_dp(dp2))
-    return None if plane is None else _power_plane(plane)
 
 
 def rich_planes(dps: List[DirectedPoint], q: int) -> List[Tuple[PlaneKey, List[int]]]:

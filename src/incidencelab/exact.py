@@ -137,17 +137,36 @@ def int_vec3(v: Vec3) -> Tuple[int, int, int, int]:
     return _clear3(v.x, v.y, v.z)
 
 
+def rand_below(bits, n: int) -> int:
+    """A uniform integer in [0, n) from bits = rng.getrandbits: the rejection
+    loop of CPython 3.11's ``random.Random._randbelow_with_getrandbits``, so
+    a + rand_below(bits, b - a + 1) draws as ``randint(a, b)`` does.  Every
+    seeded sampler draws its integers here, tied to ``getrandbits`` alone."""
+    if n < 1:  # getrandbits(0) is 0, so the loop would never end
+        raise ValueError(f"empty range: no integer in [0, {n})")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def rand_tan_half(rng) -> Fraction:
     """Seeded rational rotation parameter (the tangent of a half angle)."""
-    return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
+    bits = rng.getrandbits
+    return Fraction(rand_below(bits, 199) - 99, 1 + rand_below(bits, 20))
 
 
-def primitive_int_vec3(v: Vec3) -> Vec3:
-    """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
-    nx, ny, nz, _ = int_vec3(v)
+def primitive3(nx: int, ny: int, nz: int) -> Tuple[int, int, int]:
+    """Coprime integers along a nonzero integer vector, first nonzero positive."""
     g = gcd(nx, ny, nz)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     if nx < 0 or (nx == 0 and (ny < 0 or (ny == 0 and nz < 0))):
         g = -g
-    return Vec3(nx // g, ny // g, nz // g)
+    return nx // g, ny // g, nz // g
+
+
+def primitive_int_vec3(v: Vec3) -> Vec3:
+    """Scale a nonzero rational vector to coprime integers, first nonzero positive."""
+    return Vec3(*primitive3(*int_vec3(v)[:3]))

@@ -4,10 +4,14 @@ Every kind is deterministic in its seed, and every planted incidence is
 re-checked with the engine's exact predicate before the instance ships;
 ``certify`` re-checks the planted pairs of a loaded instance the same way.
 Random rationals are drawn as numerator/denominator pairs from configured
-bounds.  Each object is built from the drawn integers: tests such as p != w
-and derived values such as a squared radius run on them, and each coordinate
-becomes a canonical Fraction once, which keeps bit growth under control
-downstream.
+bounds.  Every integer draw, here and in the samplers called, goes through
+the one loop ``exact.rand_below`` on ``rng.getrandbits``, so instances are
+tied to this repository, not to CPython's ``randint`` (Python keeps only
+``random()`` stable across versions).  Each object is built from the drawn
+integers: tests such as p != w and derived values such as a squared radius
+run on them, and each coordinate becomes a canonical Fraction once, which
+keeps bit growth under control downstream.  The st-grid is built from its
+integers too (``Line3.from_ints``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .anchored import (
 )
 from .dual3 import Line3
 from .engine import KINDS as ENGINE_KINDS
-from .exact import Vec2, Vec3, int_vec3
+from .exact import Vec2, Vec3, int_vec3, rand_below
 from .polynomials import MPoly, resultant
 from .tangency import Circle2, DirectedPoint, tangent_circle, tangent_point_sample
 
@@ -91,8 +95,10 @@ class Instance:
 
 def _rand_nd(rng: random.Random, mag: int, den: int) -> Tuple[int, int]:
     """A numerator and denominator drawn for a rational of size at most mag."""
-    d = rng.randint(1, den)
-    return rng.randint(-mag * d, mag * d), d
+    bits = rng.getrandbits
+    d = 1 + rand_below(bits, den)
+    w = mag * d
+    return rand_below(bits, 2 * w + 1) - w, d
 
 
 def rand_rat(rng: random.Random, mag: int = 100, den: int = 100) -> Fraction:
@@ -227,23 +233,26 @@ def _gen_st_grid(spec: GenSpec, rng) -> Instance:
     # Integer grid {1..k} x {1..2k^2} with lines y = s x + t (s in 1..2k,
     # t in 1..k^2), the classical tight slope/intercept family, replicated
     # on z_levels horizontal planes; m = n = 2k^3 per level.
+    # Point (i, j, lvl) has index lvl * 2k^3 + (i - 1) * 2k^2 + (j - 1).  The
+    # points share one Fraction per value and the pairs one int per point
+    # index, which keeps the instance small.
     k = st_grid_k(spec.m, spec.z_levels)
-    points, curves, pairs = [], [], []
-    point_index = {}
-    for lvl in range(spec.z_levels):
-        for i in range(1, k + 1):
-            for j in range(1, 2 * k * k + 1):
-                point_index[(i, j, lvl)] = len(points)
-                points.append(Vec3(i, j, lvl))
+    h = 2 * k * k
+    frac = [Fraction(v) for v in range(max(h, spec.z_levels) + 1)]
+    points = [Vec3(frac[i], frac[j], frac[lvl])
+              for lvl in range(spec.z_levels) for i in range(1, k + 1) for j in range(1, h + 1)]
+    index = list(range(len(points)))
+    curves, pairs = [], []
     for lvl in range(spec.z_levels):
         for s in range(1, 2 * k + 1):
             for t in range(1, k * k + 1):
                 line_idx = len(curves)
-                curves.append(Line3(Vec3(0, t, lvl), Vec3(1, s, 0)))
+                curves.append(Line3.from_ints(0, t, lvl, 1, 1, s, 0))
                 for i in range(1, k + 1):
                     j = s * i + t
-                    if 1 <= j <= 2 * k * k:
-                        pairs.append((point_index[(i, j, lvl)], line_idx))
+                    if j > h:
+                        break
+                    pairs.append((index[lvl * k * h + (i - 1) * h + j - 1], line_idx))
     return Instance("lines3", points, curves, pairs)
 
 

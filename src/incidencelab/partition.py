@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact import Vec3, clear_denominators, int_vec3
+from .exact import Vec3, clear_denominators, int_vec3, rand_below
 from .polynomials import (
     MPoly,
     RationalCurve,
@@ -331,10 +331,11 @@ def _search_level(
     best_c: Optional[np.ndarray] = None
     best_theta = 0.0
     best_score = (float("inf"), float("inf"))
+    bits = rng.getrandbits
     for tried in range(1, starts + 1):
-        c = np.array([rng.randint(-9, 9) for _ in range(n_mono - 1)], dtype=float)
+        c = np.array([rand_below(bits, 19) - 9 for _ in range(n_mono - 1)], dtype=float)
         if not c.any():
-            c[rng.randrange(n_mono - 1)] = 1.0
+            c[rand_below(bits, n_mono - 1)] = 1.0
         theta, score = _climb(*search, c, rng, SWEEPS)
         if sampled:
             theta, score = _best_constant(vals_matrix[:, 1:] @ c, labels, sizes, target)

@@ -12,19 +12,21 @@ from hypothesis import strategies as st
 from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import GenSpec, _rand_circle, _rand_dp, gen, rand_rat
 from incidencelab.dual3 import (
+    DualLine3,
     Line3,
     PowerPlane,
-    _plane_through_pair,
+    _power_plane,
     circle_dual,
     dp_dual_line,
     dual_incidence,
     dual_on_plane,
     encode_power,
     line_in_plane,
+    pair_plane,
     rich_planes,
     rich_planes_to_json,
 )
-from incidencelab.tangency import Circle2, DirectedPoint, Line2, is_tangent, power, rotate_on_circle
+from incidencelab.tangency import Circle2, DirectedPoint, Line2, int_dp, is_tangent, power, rotate_on_circle
 
 
 def dp(px, py, u):
@@ -33,6 +35,16 @@ def dp(px, py, u):
 
 def circ(cx, cy, r2):
     return Circle2(Vec2(cx, cy), r2)
+
+
+def as_line3(line: DualLine3) -> Line3:
+    return Line3(line.point0(), line.direction())
+
+
+def plane_through_pair(dp1: DirectedPoint, dp2: DirectedPoint):
+    """The non-vertical plane containing both dual lines, if exactly one does."""
+    plane = pair_plane(int_dp(dp1), int_dp(dp2))
+    return None if plane is None else _power_plane(plane)
 
 
 class TestCircleDual:
@@ -47,7 +59,7 @@ class TestDualLine:
         line = dp_dual_line(dp(0, 0, 0))
         assert line.nonvertical_plane() == PowerPlane(0, 0, 0)
         assert line.vertical_trace() == Line2(1, 0, 0)
-        l3 = line.as_line3()
+        l3 = as_line3(line)
         assert l3.point == Vec3(0, 0, 0)
         assert l3.direction == Vec3(0, 1, 0)
 
@@ -55,8 +67,8 @@ class TestDualLine:
         line = dp_dual_line(dp(1, 0, 0))
         assert line.nonvertical_plane() == PowerPlane(2, 0, -1)
         assert line.vertical_trace() == Line2(1, 0, -1)
-        assert line.as_line3().contains(Vec3(1, 7, -1))
-        assert not line.as_line3().contains(Vec3(1, 7, 0))
+        assert as_line3(line).contains(Vec3(1, 7, -1))
+        assert not as_line3(line).contains(Vec3(1, 7, 0))
 
     def test_distinct_points_distinct_lines(self):
         rng = random.Random(21)
@@ -65,7 +77,7 @@ class TestDualLine:
             b = _rand_dp(rng, 10, 10)
             if a == b:
                 continue
-            la, lb = dp_dual_line(a).as_line3(), dp_dual_line(b).as_line3()
+            la, lb = as_line3(dp_dual_line(a)), as_line3(dp_dual_line(b))
             assert la != lb
 
 
@@ -282,11 +294,11 @@ class TestSpanningPairs:
     def test_different_slopes(self):
         a = dp(Fraction(3, 5), Fraction(4, 5), Fraction(4, 3))
         b = dp(Fraction(-3, 5), Fraction(4, 5), Fraction(-4, 3))
-        assert _plane_through_pair(a, b) == PowerPlane(0, 0, 1)
+        assert plane_through_pair(a, b) == PowerPlane(0, 0, 1)
 
     def test_equal_slopes_parallel_lines(self):
         # (0,0) and (1,0) both horizontal: parallel dual lines on w = (1/2, 0), rho = 1/4
-        pp = _plane_through_pair(dp(0, 0, 0), dp(1, 0, 0))
+        pp = plane_through_pair(dp(0, 0, 0), dp(1, 0, 0))
         assert pp == PowerPlane(1, 0, 0)
         assert pp.w == Vec2(Fraction(1, 2), 0) and pp.rho == Fraction(1, 4)
 
@@ -297,7 +309,7 @@ class TestSpanningPairs:
         (dp(0, 0, 0), dp(1, 0, 1)),  # different slopes, skew: the re-check fails
     ], ids=["skew-parallel-traces", "shared-vertical-plane", "equal-points", "recheck-fails"])
     def test_no_nonvertical_plane(self, a, b):
-        assert _plane_through_pair(a, b) is None
+        assert plane_through_pair(a, b) is None
         assert span_plane_3d(a, b) is None
 
     def test_agrees_with_3d_reference(self):
@@ -305,7 +317,7 @@ class TestSpanningPairs:
         for _ in range(3000):
             a = dp(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice([0, 1, -1, 2, Fraction(1, 2)]))
             b = dp(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice([0, 1, -1, 2, Fraction(1, 2)]))
-            assert _plane_through_pair(a, b) == span_plane_3d(a, b)
+            assert plane_through_pair(a, b) == span_plane_3d(a, b)
 
     def test_planted_pairs_contained(self):
         # radial directed points on a power circle around w span encode_power(w, rho)
@@ -324,7 +336,7 @@ class TestSpanningPairs:
                     continue
             a = DirectedPoint(p, (p.y - w.y) / (p.x - w.x))
             b = DirectedPoint(q, (q.y - w.y) / (q.x - w.x))
-            pp = _plane_through_pair(a, b)
+            pp = plane_through_pair(a, b)
             assert pp == encode_power(w, circle.r2)
             for c in (a, b):
                 line = dp_dual_line(c)
@@ -367,7 +379,7 @@ def huge_pairs(draw):
 @given(huge_pairs())
 def test_pair_plane_matches_3d_reference_at_huge_magnitude(pair):
     a, b, planted = pair
-    plane = _plane_through_pair(a, b)
+    plane = plane_through_pair(a, b)
     assert plane == span_plane_3d(a, b)
     if planted != "any":  # a radial pair spans its power circle's plane
         assert plane == planted

@@ -21,6 +21,7 @@ from incidencelab.exact import Vec2, Vec3
 from incidencelab.generators import GenSpec, gen
 from incidencelab.tangency import Circle2, DirectedPoint, rotate_on_circle, tangent_at
 from incidencelab.verify import anchored_edges
+from test_dual3 import as_line3
 
 
 class TestCount:
@@ -169,7 +170,7 @@ def test_dual_lines_as_curves():
     # primal tangencies they encode
     inst, planted = gen(GenSpec("circle-sampled", 30, 10, seed=13))
     duals = [circle_dual(c) for c in inst.curves]
-    lines = [dp_dual_line(p).as_line3() for p in inst.points]
+    lines = [as_line3(dp_dual_line(p)) for p in inst.points]
     primal = count(inst.points, inst.curves)
     dual = count(duals, lines)
     assert dual.total == primal.total
@@ -192,7 +193,7 @@ def _typed_instance(curve_type):
     inst, _ = gen(GenSpec("circle-sampled", 30, 10, seed=13))
     if curve_type is Circle2:
         return inst.points, inst.curves
-    return [circle_dual(c) for c in inst.curves], [dp_dual_line(p).as_line3() for p in inst.points]
+    return [circle_dual(c) for c in inst.curves], [as_line3(dp_dual_line(p)) for p in inst.points]
 
 
 @pytest.mark.parametrize("point_type, curve_type, kind", [

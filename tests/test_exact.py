@@ -12,6 +12,7 @@ from incidencelab.exact import (
     clear_denominators,
     int_vec3,
     primitive_int_vec3,
+    rand_below,
     rat_from_str,
     rat_to_str,
 )
@@ -44,6 +45,20 @@ class TestVectors:
     def test_json_round_trip(self):
         v = Vec3(Fraction(1, 3), Fraction(-2), Fraction(7, 5))
         assert Vec3.from_json(v.to_json()) == v
+
+
+class TestRandBelow:
+    # widths above 32 bits take several getrandbits words per draw
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 20, 199, 20001, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3])
+    def test_matches_the_interpreters_randrange(self, n):
+        ours, theirs = random.Random(n), random.Random(n)
+        assert [rand_below(ours.getrandbits, n) for _ in range(1000)] == [theirs.randrange(n) for _ in range(1000)]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_empty_range_raises(self, n):
+        with pytest.raises(ValueError):
+            rand_below(random.Random(0).getrandbits, n)
 
 
 class TestPrimitive:

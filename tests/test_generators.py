@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from incidencelab.dual3 import dual_incidence
+from incidencelab.dual3 import Line3, dual_incidence
 from incidencelab.engine import count
 from incidencelab.generators import (
     GENERATORS,
@@ -15,8 +17,12 @@ from incidencelab.generators import (
     eval_Fstar,
     gen,
     horizontal_line_Fstar,
+    rand_rat,
     st_grid_k,
 )
+from incidencelab.exact import Vec3
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "incidencelab"
 
 
 class TestGenSpec:
@@ -87,6 +93,17 @@ class TestStGrid:
         brute = count(inst.points, inst.curves, mode="exact").total
         assert planted == brute
 
+    def test_lines_equal_their_constructor(self):
+        inst, _ = gen(GenSpec("st-grid-horizontal-lines", 108, 108, z_levels=2))
+        k = st_grid_k(108, 2)
+        assert k == 3
+        wanted = [Line3(Vec3(0, t, lvl), Vec3(1, s, 0))
+                  for lvl in range(2) for s in range(1, 2 * k + 1) for t in range(1, k * k + 1)]
+        assert len(inst.curves) == len(wanted)
+        for got, line in zip(inst.curves, wanted):
+            assert got.point == line.point and got.direction == line.direction
+            assert hash(got) == hash(line)
+
     def test_z_levels_replicate(self):
         one, p1 = gen(GenSpec("st-grid-horizontal-lines", 128, 128, seed=0))
         two, p2 = gen(GenSpec("st-grid-horizontal-lines", 256, 256, seed=0, z_levels=2))
@@ -147,6 +164,20 @@ def test_instances_and_draws_pinned(spec, digest, next_draw):
     payload = json.dumps(inst.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == digest
     assert rng.random() == next_draw
+
+
+@pytest.mark.parametrize("mag, den", [(5, 0), (-1, 5)])
+def test_empty_range_raises(mag, den):
+    with pytest.raises(ValueError):
+        rand_rat(random.Random(0), mag, den)
+
+
+@pytest.mark.parametrize("module", ["exact", "generators", "anchored", "tangency", "partition"])
+def test_samplers_draw_through_rand_below(module):
+    # the instances stay tied to exact.rand_below, not to the interpreter's
+    # randint and randrange, whose streams Python may change between versions
+    calls = re.findall(r"\.(?:randint|randrange)\(", (SRC / f"{module}.py").read_text())
+    assert calls == []
 
 
 class TestInstanceJson:
